@@ -30,6 +30,9 @@ from .pseudomonomials import canonical_form
 
 OK, INPUT_ERROR, MISMATCH = 0, 2, 3
 
+# upper bound on --threads, checked before any input is read or worker started
+MAX_THREADS = 64
+
 
 class CrossCheckMismatch(RuntimeError):
     """Two independent computations of the same quantity disagreed."""
@@ -232,25 +235,39 @@ def cmd_betti(args) -> int:
     return OK
 
 
+def _int_rows(data: dict, key: str, width: int) -> list:
+    """The list under key, checked to hold only lists of `width` integers."""
+    rows = data[key]
+    if not isinstance(rows, list) or not all(
+        isinstance(r, list) and len(r) == width and all(type(x) is int for x in r) for r in rows
+    ):
+        raise ValueError(f"\"{key}\" entries must be lists of {width} integers")
+    return rows
+
+
 def cmd_invert(args) -> int:
     report = RunReport("invert")
     text = _read(args.bettifile)
     report.input_digest = _digest(text)
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("the top level of a Betti table file must be a JSON object")
     n = args.n if args.n is not None else data.get("n")
     if n is None:
         raise ValueError("neuron count missing: pass --n or include \"n\" in the file")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"neuron count must be a nonnegative integer, got {n!r}")
     output: dict = {"n": n}
     lines = []
     if "multigraded" in data:
-        entries = {(w, u, v): c for w, u, v, c in data["multigraded"]}
+        entries = {(w, u, v): c for w, u, v, c in _int_rows(data, "multigraded", 4)}
         table = BettiTable.from_dict(n, entries)
         profile = invert_multigraded(table)
         output["jkl"] = [[k, l, c] for (k, l), c in profile.jkl]
         output["jk"] = list(profile.jk)
         lines += [profile.render(), profile.render_marginals()]
     elif "graded" in data:
-        graded = {(w, j): c for w, j, c in data["graded"]}
+        graded = {(w, j): c for w, j, c in _int_rows(data, "graded", 3)}
         jk = invert_graded(graded, n)
         output["jk"] = list(jk)
         lines.append(" ".join(f"j{k}={c}" for k, c in enumerate(jk)))
@@ -436,6 +453,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
         if args.func is cmd_betti and not args.ideal and not args.codefile:
             raise ValueError("pass a code file or --ideal")
         return args.func(args)

@@ -106,6 +106,8 @@ def parse_code(text: str, max_n: int = MAX_NEURONS) -> NeuralCode:
                 raise CodeParseError(f"line {lineno}: bad header {line!r}") from None
             if declared < 0:
                 raise CodeParseError(f"line {lineno}: negative neuron count")
+            if declared > max_n:
+                raise CodeParseError(f"line {lineno}: n={declared} exceeds the cap of {max_n} neurons")
             continue
         if line == "0":
             rows.append(0)
@@ -118,17 +120,14 @@ def parse_code(text: str, max_n: int = MAX_NEURONS) -> NeuralCode:
                 raise CodeParseError(f"line {lineno}: not a neuron index: {tok!r}") from None
             if i <= 0:
                 raise CodeParseError(f"line {lineno}: neuron indices are positive, got {i}")
+            # checked before the shift, so a huge index never becomes a huge mask
+            if declared is not None and i > declared:
+                raise CodeParseError(f"line {lineno}: neuron index {i} exceeds declared n={declared}")
+            if i > max_n:
+                raise CodeParseError(f"line {lineno}: neuron index {i} exceeds the cap of {max_n} neurons")
             mask |= 1 << (i - 1)
         rows.append(mask)
-    seen = 0
-    for m in rows:
-        seen |= m
-    inferred = seen.bit_length()
-    n = inferred if declared is None else declared
-    if inferred > n:
-        raise CodeParseError(f"neuron index {inferred} exceeds declared n={n}")
-    if n > max_n:
-        raise CodeParseError(f"n={n} exceeds the cap of {max_n} neurons")
+    n = max(rows, default=0).bit_length() if declared is None else declared
     words = set(rows)
     if 0 not in words:
         warnings.warn("empty codeword missing; inserted", CodeFormatWarning, stacklevel=2)

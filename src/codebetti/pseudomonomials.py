@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .codes import NeuralCode, indices_of
 
@@ -50,27 +49,35 @@ class PseudoMonomial:
 def canonical_form(code: NeuralCode) -> tuple[PseudoMonomial, ...]:
     """Divisibility-minimal pseudo-monomials vanishing on every codeword.
 
-    Sweeps the disjoint (sigma, tau) pairs in increasing total degree, so a
-    vanishing pair is minimal exactly when no already-kept pair divides it.
+    Built one codeword at a time, as in Petersen, Youngs, Vega and Curto,
+    "Neural ideals in SageMath" (arXiv:1609.09602). Starting from the unit
+    ideal, the terms that vanish on the next word c are kept; every other term
+    is multiplied by x_i (c_i = 0) or (1-x_i) (c_i = 1) for each neuron i
+    outside its support, and a product is dropped when a kept term divides it.
+    The cost grows with the number of words and terms, not with 3^n.
     Output is sorted by (degree, sigma, tau) for reproducible listings.
     """
+    # A term is one mask: sigma in the low n bits, tau in the next n.
     n = code.n
-    words = sorted(code.words)
-    found: list[PseudoMonomial] = []
-    for deg in range(1, n + 1):
-        for support_bits in combinations(range(n), deg):
-            supp = 0
-            for b in support_bits:
-                supp |= 1 << b
-            sub = supp
-            while True:
-                sigma = sub
-                tau = supp & ~sub
-                if not any(f.sigma & ~sigma == 0 and f.tau & ~tau == 0 for f in found):
-                    if all((sigma & ~w) or (tau & w) for w in words):
-                        found.append(PseudoMonomial(sigma, tau))
-                if sub == 0:
-                    break
-                sub = (sub - 1) & supp
+    full = (1 << n) - 1
+    terms = [0]
+    for c in sorted(code.words):
+        zero_at_c = (full ^ c) | (c << n)  # the factors x_i, (1-x_i) that vanish on c
+        kept = [m for m in terms if m & zero_at_c]
+        grown = []
+        for m in terms:
+            if m & zero_at_c:
+                continue
+            supp = (m | m >> n) & full
+            free = zero_at_c & ~(supp | supp << n)
+            while free:
+                b = free & -free
+                free ^= b
+                # each product holds exactly one factor vanishing on c, so products never repeat
+                p = m | b
+                if not any(k & ~p == 0 for k in kept):
+                    grown.append(p)
+        terms = kept + grown
+    found = [PseudoMonomial(m & full, m >> n) for m in terms]
     found.sort(key=PseudoMonomial.sort_key)
     return tuple(found)

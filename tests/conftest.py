@@ -1,6 +1,8 @@
+from itertools import combinations
+
 import pytest
 
-from codebetti import NeuralCode, mask_of, parse_code
+from codebetti import NeuralCode, PseudoMonomial, mask_of, parse_code
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -15,6 +17,34 @@ def code_of(*wordlists, n=None):
     if n is None:
         n = max((m.bit_length() for m in masks), default=0)
     return NeuralCode(n, frozenset(masks))
+
+
+def sweep_canonical_form(code):
+    """Reference canonical form by the 3^n sweep, for cross-checks only.
+
+    Visits the disjoint (sigma, tau) pairs in increasing total degree, so a
+    vanishing pair is minimal exactly when no already-kept pair divides it.
+    """
+    n = code.n
+    words = sorted(code.words)
+    found: list[PseudoMonomial] = []
+    for deg in range(1, n + 1):
+        for support_bits in combinations(range(n), deg):
+            supp = 0
+            for b in support_bits:
+                supp |= 1 << b
+            sub = supp
+            while True:
+                sigma = sub
+                tau = supp & ~sub
+                if not any(f.sigma & ~sigma == 0 and f.tau & ~tau == 0 for f in found):
+                    if all((sigma & ~w) or (tau & w) for w in words):
+                        found.append(PseudoMonomial(sigma, tau))
+                if sub == 0:
+                    break
+                sub = (sub - 1) & supp
+    found.sort(key=PseudoMonomial.sort_key)
+    return tuple(found)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from codebetti import NeuralCode, PseudoMonomial, canonical_form, mask_of
-from conftest import WORKED_CF, code_of
+from codebetti import (
+    NeuralCode,
+    PseudoMonomial,
+    canonical_form,
+    enumerate_pierced_codes,
+    mask_of,
+    random_pierced_code,
+)
+from conftest import WORKED_CF, code_of, sweep_canonical_form
 
 
 def test_vanishing_semantics():
@@ -98,3 +105,47 @@ def test_cf_complete_on_small_codes(code):
             assert any(g.divides(f) for g in cf)
         else:
             assert not any(g.divides(f) for g in cf)
+
+
+st_codes_upto7 = st.integers(0, 7).flatmap(
+    lambda n: st.builds(
+        lambda ws: NeuralCode(n, frozenset(ws | {0})),
+        st.sets(st.integers(0, (1 << n) - 1), max_size=40),
+    )
+)
+
+
+@given(st_codes_upto7)
+def test_cf_matches_sweep_on_random_codes(code):
+    assert canonical_form(code) == sweep_canonical_form(code)
+
+
+def test_cf_matches_sweep_on_every_small_pierced_code():
+    codes = list(enumerate_pierced_codes(4))
+    assert len(codes) > 200
+    for code in codes:
+        assert canonical_form(code) == sweep_canonical_form(code)
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_cf_matches_sweep_on_random_pierced_codes(n):
+    _, code = random_pierced_code(n, seed=n)
+    assert canonical_form(code) == sweep_canonical_form(code)
+
+
+def test_cf_of_pierced_code_at_cap_is_every_vanishing_quadratic():
+    # n=16 is beyond the sweep's reach. Once the CF is known to be quadratic, no
+    # degree-one term vanishes, so every vanishing degree-two term is minimal.
+    _, code = random_pierced_code(16, seed=3)
+    cf = canonical_form(code)
+    assert all(f.degree == 2 and f.vanishes_on_code(code) for f in cf)
+    quadratics = set()
+    for i in range(16):
+        for j in range(i + 1, 16):
+            a, b = 1 << i, 1 << j
+            for sigma, tau in ((a | b, 0), (a, b), (b, a), (0, a | b)):
+                f = PseudoMonomial(sigma, tau)
+                if f.vanishes_on_code(code):
+                    quadratics.add(f)
+    assert set(cf) == quadratics
+    assert len(cf) == len(quadratics)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from codebetti import cli
 from codebetti.cli import main
 from conftest import WORKED_LINES
 
@@ -168,6 +169,56 @@ def test_invert_zeros(tmp_path, capsys):
     rc, out, _ = run(capsys, "invert", str(p))
     assert rc == 0
     assert out.strip() == "j0=1 j1=1 j2=1"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("[1, 2, 3]", "JSON object"),
+        ('{"n": 3, "multigraded": [[1, "a", 1, 1]]}', "lists of 4 integers"),
+        ('{"n": 3, "multigraded": [[1, 1, 1]]}', "lists of 4 integers"),
+        ('{"n": 3, "graded": [[1, 2]]}', "lists of 3 integers"),
+        ('{"n": 3, "graded": 5}', "lists of 3 integers"),
+        ('{"n": "3", "graded": []}', "nonnegative integer"),
+    ],
+)
+def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):
+    p = tmp_path / "table.json"
+    p.write_text(body)
+    rc, out, err = run(capsys, "invert", str(p))
+    assert rc == 2
+    assert out == ""
+    assert message in err
+
+
+def _refuse_oracle(*args, **kwargs):
+    raise AssertionError("the oracle must not run when --threads is rejected")
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", str(cli.MAX_THREADS + 1)])
+def test_threads_out_of_range_rejected_before_any_work(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setattr(cli, "betti_table_oracle", _refuse_oracle)
+    # the file does not exist: the check must come before the input is read
+    missing = str(tmp_path / "missing.code")
+    rc, out, err = run(capsys, "betti", missing, "--method", "oracle", "--threads", threads)
+    assert rc == 2
+    assert out == ""
+    assert "--threads must be between 1 and" in err
+
+
+def test_threads_at_cap_accepted(worked_file, capsys, monkeypatch):
+    # the cap itself is valid; the sweep runs in this process so no pool is started
+    real = cli.betti_table_oracle
+    seen = []
+
+    def single_process(ideal, threads=1):
+        seen.append(threads)
+        return real(ideal, threads=1)
+
+    monkeypatch.setattr(cli, "betti_table_oracle", single_process)
+    rc, _, _ = run(capsys, "betti", worked_file, "--method", "oracle", "--threads", str(cli.MAX_THREADS))
+    assert rc == 0
+    assert seen == [cli.MAX_THREADS]
 
 
 def test_chordal_path(tmp_path, capsys):

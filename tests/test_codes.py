@@ -45,6 +45,13 @@ def test_parse_enforces_neuron_cap():
         parse_code("n=4\n1\n", max_n=3)
 
 
+@pytest.mark.parametrize("text", [f"0\n{10**12}\n", f"n=3\n1 {10**12}\n", "n=3\n4\n"])
+def test_parse_rejects_index_above_cap_or_header(text):
+    # 1 << (10**12 - 1) would need about 125 GB; the index is refused before any shift
+    with pytest.raises(CodeParseError, match="exceeds"):
+        parse_code(text)
+
+
 def test_parse_inserts_empty_word_with_warning():
     with pytest.warns(CodeFormatWarning):
         code = parse_code("1\n")
