@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from .betti import betti_recursive, invert_graded, invert_multigraded, multigraded_betti_closed
 from .betti import BettiTable
-from .codes import MAX_NEURONS, delete_neuron, parse_code, serialize_code, validate_code
+from .codes import MAX_NEURONS, LineReader, delete_neuron, mask_of, parse_code, serialize_code, validate_code
 from .graphs import all_elimination_orderings, chordality, parse_graph, render_dot, render_graph
 from .graphs import chordless_cycle_witness, relationship_graph
-from .oracle import betti_table_oracle
+from .oracle import GuardExceeded, betti_table_oracle
 from .piercing import (
     PiercingOrder,
     build_code,
@@ -74,7 +74,7 @@ def _load_code(args, report: RunReport):
     report.input_digest = _digest(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = parse_code(text, max_n=args.max_n)
+        code = parse_code(text)
     report.warnings += [str(w.message) for w in caught]
     if getattr(args, "strip_silent", False):
         diag = validate_code(code)
@@ -147,23 +147,18 @@ def cmd_pierced(args) -> int:
     fast = is_inductively_pierced_fast(code)
     order = None
     if args.order:
-        wanted = [int(tok) for tok in args.order.split(",")]
-        order = steps_for_order(code, wanted)
+        order = steps_for_order(code, [int(tok) for tok in args.order.split(",")])
         if order is None:
             report.output = {"pierced": fast.pierced, "order_accepted": False}
             _emit(args, report, f"order {args.order} is not a piercing order")
-            return MISMATCH if fast.pierced and not args.certify else OK
-    if order is None and (fast.pierced or args.certify):
+            return OK
+    elif fast.pierced or args.certify:
         order = is_inductively_pierced(code)
-    if args.certify or fast.pierced:
-        definitional = order is not None
-        if definitional != fast.pierced:
-            print(
-                "cross-check mismatch: definitional verdict "
-                f"{definitional} vs quadratic+chordal verdict {fast.pierced}",
-                file=sys.stderr,
-            )
-            return MISMATCH
+    # order stays None only when the fast verdict is negative and --certify is off
+    if (order is not None) != fast.pierced:
+        raise CrossCheckMismatch(
+            f"definitional verdict {order is not None} vs quadratic+chordal verdict {fast.pierced}"
+        )
     if not fast.pierced:
         report.output = {"pierced": False, "reason": fast.reason, "cf_degrees": list(fast.cf_degrees)}
         _emit(args, report, f"not inductively pierced ({fast.reason})")
@@ -221,12 +216,10 @@ def cmd_betti(args) -> int:
     first = tables[names[0]]
     for name in names[1:]:
         if tables[name] != first:
-            print(
-                f"cross-check mismatch: {names[0]} and {name} tables differ\n"
-                f"{names[0]}: {first.to_json_dict()}\n{name}: {tables[name].to_json_dict()}",
-                file=sys.stderr,
+            raise CrossCheckMismatch(
+                f"{names[0]} and {name} tables differ\n"
+                f"{names[0]}: {first.to_json_dict()}\n{name}: {tables[name].to_json_dict()}"
             )
-            return MISMATCH
     report.output = dict(first.to_json_dict(), methods=names)
     human = first.render_triangle()
     if len(names) > 1:
@@ -255,8 +248,9 @@ def cmd_invert(args) -> int:
     n = args.n if args.n is not None else data.get("n")
     if n is None:
         raise ValueError("neuron count missing: pass --n or include \"n\" in the file")
-    if type(n) is not int or n < 0:
-        raise ValueError(f"neuron count must be a nonnegative integer, got {n!r}")
+    # checked before any work: invert_multigraded loops n^4 times
+    if type(n) is not int or not 0 <= n <= MAX_NEURONS:
+        raise ValueError(f"neuron count must be a nonnegative integer up to {MAX_NEURONS}, got {n!r}")
     output: dict = {"n": n}
     lines = []
     if "multigraded" in data:
@@ -286,9 +280,8 @@ def cmd_chordal(args) -> int:
     ordering = chordality(g)
     if ordering is None:
         cycle = chordless_cycle_witness(g)
-        report.output = {"chordal": False, "witness": list(cycle) if cycle else None}
-        suffix = " (chordless cycle " + "-".join(map(str, cycle)) + ")" if cycle else ""
-        _emit(args, report, f"not chordal{suffix}")
+        report.output = {"chordal": False, "witness": list(cycle)}
+        _emit(args, report, "not chordal (chordless cycle " + "-".join(map(str, cycle)) + ")")
         return OK
     profile = ordering.profile()
     out = {
@@ -305,11 +298,7 @@ def cmd_chordal(args) -> int:
         for other in all_elimination_orderings(g):
             count += 1
             if other.profile() != profile:
-                print(
-                    f"cross-check mismatch: ordering {other.order} has profile {other.profile()}",
-                    file=sys.stderr,
-                )
-                return MISMATCH
+                raise CrossCheckMismatch(f"ordering {other.order} has profile {other.profile()}")
         out["orderings_checked"] = count
         out["profile_invariant"] = True
         lines.append(f"profile invariant across all {count} orderings")
@@ -324,25 +313,21 @@ _STEP_RE = re.compile(
 
 
 def parse_steps(text: str) -> PiercingOrder:
-    """Read steps in the rendered format, e.g. "step 5: sigma={3} tau={2,3} k=1 l=1"."""
+    """Read steps in the rendered format, e.g. "step 5: sigma={3} tau={2,3} k=1 l=1".
+
+    Comments and the optional "n=" header follow LineReader; every index is
+    capped at MAX_NEURONS before it becomes a bit.
+    """
+    reader = LineReader(text, MAX_NEURONS)
     steps = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in reader:
         m = _STEP_RE.match(line)
         if m is None:
-            raise ValueError(f"line {lineno}: not a piercing step: {line!r}")
-
-        def to_mask(csv: str) -> int:
-            mask = 0
-            for tok in csv.split(","):
-                tok = tok.strip()
-                if tok:
-                    mask |= 1 << (int(tok) - 1)
-            return mask
-
-        steps.append(PiercingStep(int(m.group(1)), to_mask(m.group(2)), to_mask(m.group(3))))
+            raise reader.fail(f"not a piercing step: {line!r}")
+        sigma, tau = (
+            mask_of(reader.index(tok) for tok in csv.split(",") if tok.strip()) for csv in m.group(2, 3)
+        )
+        steps.append(PiercingStep(reader.index(m.group(1)), sigma, tau))
     return PiercingOrder(tuple(steps))
 
 
@@ -356,8 +341,6 @@ def cmd_generate(args) -> int:
     else:
         if args.n is None:
             raise ValueError("pass --n (or --steps FILE)")
-        if args.n > args.max_n:
-            raise ValueError(f"--n {args.n} exceeds --max-n {args.max_n}")
         order, code = random_pierced_code(args.n, kmax=args.kmax, seed=args.seed)
     body = serialize_code(code)
     trailer = "".join(f"# {s.render()}\n" for s in order.steps)
@@ -376,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
     common.add_argument("--threads", type=int, default=1, help="worker count for the oracle sweep")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
-    common.add_argument(
-        "--max-n", type=int, default=MAX_NEURONS, help="cap on the neuron count accepted at parse time"
-    )
 
     parser = argparse.ArgumentParser(
         prog="codebetti",
@@ -458,9 +438,12 @@ def main(argv=None) -> int:
         if args.func is cmd_betti and not args.ideal and not args.codefile:
             raise ValueError("pass a code file or --ideal")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except CrossCheckMismatch as exc:
+        print(f"cross-check mismatch: {exc}", file=sys.stderr)
+        return MISMATCH
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ from itertools import combinations
 
 MAX_NEURONS = 16
 
+# cap on graph vertices and ideal variable pairs; above MAX_NEURONS, so the
+# relationship graph and polarized ideal of every code still parse
+MAX_INDEX = 64
+
 
 class CodeParseError(ValueError):
     """Raised for malformed code files."""
@@ -83,56 +87,89 @@ class NeuralCode:
         return m
 
 
+class LineReader:
+    """The line rules shared by the code, ideal, graph and steps file formats.
+
+    Iterating yields the stripped data lines: blank lines and "#" comment
+    lines are skipped, and an optional leading "n=<int>" header (0..limit)
+    is consumed into `declared`.  `index` and `bit` check a 1-based index
+    against the header and the limit before it is ever shifted into a mask.
+    """
+
+    def __init__(self, text: str, limit: int, error: type[ValueError] = ValueError):
+        self.text = text
+        self.limit = limit
+        self.error = error
+        self.declared: int | None = None
+        self.top = 0
+        self.lineno = 0
+
+    def __iter__(self):
+        seen_data = False
+        for self.lineno, raw in enumerate(self.text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("n="):
+                if seen_data or self.declared is not None:
+                    raise self.fail("n= header must come first")
+                try:
+                    declared = int(line[2:])
+                except ValueError:
+                    raise self.fail(f"bad header {line!r}") from None
+                if not 0 <= declared <= self.limit:
+                    raise self.fail(f"n={declared} is outside 0..{self.limit}")
+                self.declared = declared
+                continue
+            seen_data = True
+            yield line
+
+    def fail(self, message: str) -> ValueError:
+        return self.error(f"line {self.lineno}: {message}")
+
+    def index(self, token: str) -> int:
+        """A 1-based index, checked against the declared n and the limit."""
+        try:
+            i = int(token)
+        except ValueError:
+            raise self.fail(f"not an index: {token!r}") from None
+        if i <= 0:
+            raise self.fail(f"indices are positive, got {i}")
+        if self.declared is not None and i > self.declared:
+            raise self.fail(f"index {i} exceeds declared n={self.declared}")
+        if i > self.limit:
+            raise self.fail(f"index {i} exceeds the cap of {self.limit}")
+        self.top = max(self.top, i)
+        return i
+
+    def bit(self, token: str) -> int:
+        return 1 << (self.index(token) - 1)
+
+    @property
+    def n(self) -> int:
+        """The declared count, else the largest index read."""
+        return self.top if self.declared is None else self.declared
+
+
 def parse_code(text: str, max_n: int = MAX_NEURONS) -> NeuralCode:
     """Read a code file: one codeword per line of 1-based indices.
 
-    The line "0" is the empty codeword, "#" starts a comment line, and an
-    optional leading "n=<int>" header declares the neuron count (otherwise
-    the maximum index seen is used).  A missing empty codeword is inserted
-    with a CodeFormatWarning.
+    The line "0" is the empty codeword; comments and the optional "n="
+    header follow LineReader (otherwise the maximum index seen is used).
+    A missing empty codeword is inserted with a CodeFormatWarning.
     """
-    declared = None
-    rows: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            if rows or declared is not None:
-                raise CodeParseError(f"line {lineno}: n= header must come first")
-            try:
-                declared = int(line[2:])
-            except ValueError:
-                raise CodeParseError(f"line {lineno}: bad header {line!r}") from None
-            if declared < 0:
-                raise CodeParseError(f"line {lineno}: negative neuron count")
-            if declared > max_n:
-                raise CodeParseError(f"line {lineno}: n={declared} exceeds the cap of {max_n} neurons")
-            continue
-        if line == "0":
-            rows.append(0)
-            continue
+    reader = LineReader(text, max_n, CodeParseError)
+    words = set()
+    for line in reader:
         mask = 0
-        for tok in line.split():
-            try:
-                i = int(tok)
-            except ValueError:
-                raise CodeParseError(f"line {lineno}: not a neuron index: {tok!r}") from None
-            if i <= 0:
-                raise CodeParseError(f"line {lineno}: neuron indices are positive, got {i}")
-            # checked before the shift, so a huge index never becomes a huge mask
-            if declared is not None and i > declared:
-                raise CodeParseError(f"line {lineno}: neuron index {i} exceeds declared n={declared}")
-            if i > max_n:
-                raise CodeParseError(f"line {lineno}: neuron index {i} exceeds the cap of {max_n} neurons")
-            mask |= 1 << (i - 1)
-        rows.append(mask)
-    n = max(rows, default=0).bit_length() if declared is None else declared
-    words = set(rows)
+        if line != "0":
+            for tok in line.split():
+                mask |= reader.bit(tok)
+        words.add(mask)
     if 0 not in words:
         warnings.warn("empty codeword missing; inserted", CodeFormatWarning, stacklevel=2)
         words.add(0)
-    return NeuralCode(n, frozenset(words))
+    return NeuralCode(reader.n, frozenset(words))
 
 
 def serialize_code(code: NeuralCode) -> str:

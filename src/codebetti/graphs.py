@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .codes import indices_of
+from .codes import MAX_INDEX, LineReader, indices_of
 from .polarization import SquarefreeIdeal
 
 
@@ -145,27 +145,27 @@ def chordality(g: Graph) -> EliminationOrdering | None:
     return EliminationOrdering(order, degs)
 
 
-def chordless_cycle_witness(g: Graph) -> tuple[int, ...] | None:
-    """Some chordless cycle of length >= 4, or None when not cheaply found."""
+def chordless_cycle_witness(g: Graph) -> tuple[int, ...]:
+    """A chordless cycle of length >= 4; g must not be chordal.
+
+    Complete: the first vertex v of a chordless cycle in MCS elimination
+    order still has both of its cycle neighbours u, w when it is reached,
+    and the rest of the cycle is a u-w path avoiding N[v], so trying every
+    non-adjacent pair of remaining neighbours finds one.
+    """
     order = _mcs_order(g)
     adj = g.adjacency()
     remaining = (1 << g.n) - 1
     for v in order:
         bit = 1 << (v - 1)
         nb = adj[v] & remaining & ~bit
-        m = nb
-        while m:
-            b = m & -m
-            u = b.bit_length()
-            missing = nb & ~adj[u] & ~b
-            if missing:
-                w = (missing & -missing).bit_length()
+        for u in indices_of(nb):
+            for w in indices_of(nb & ~adj[u] & ~(1 << (u - 1))):
                 cycle = _cycle_through(g, adj, v, u, w)
                 if cycle:
                     return cycle
-            m ^= b
         remaining ^= bit
-    return None
+    raise ValueError("the graph is chordal")
 
 
 def _cycle_through(g: Graph, adj: list[int], v: int, u: int, w: int) -> tuple[int, ...] | None:
@@ -243,37 +243,21 @@ def relationship_graph(ideal: SquarefreeIdeal) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    """Read an edge-list file: lines "i-j", "#" comments, optional "n=<int>" header."""
-    declared = None
+    """Read an edge-list file of "i-j" lines; comments and the "n=" header follow LineReader.
+
+    Vertices are capped at MAX_INDEX.
+    """
+    reader = LineReader(text, MAX_INDEX, GraphParseError)
     pairs = []
-    top = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            if pairs or declared is not None:
-                raise GraphParseError(f"line {lineno}: n= header must come first")
-            try:
-                declared = int(line[2:])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: bad header {line!r}") from None
-            continue
+    for line in reader:
         left, sep, right = line.partition("-")
         if not sep:
-            raise GraphParseError(f"line {lineno}: expected i-j, got {line!r}")
-        try:
-            a, b = int(left), int(right)
-        except ValueError:
-            raise GraphParseError(f"line {lineno}: bad edge {line!r}") from None
-        if a <= 0 or b <= 0 or a == b:
-            raise GraphParseError(f"line {lineno}: bad edge {line!r}")
+            raise reader.fail(f"expected i-j, got {line!r}")
+        a, b = reader.index(left), reader.index(right)
+        if a == b:
+            raise reader.fail(f"bad edge {line!r}")
         pairs.append((a, b))
-        top = max(top, a, b)
-    n = top if declared is None else declared
-    if top > n:
-        raise GraphParseError(f"vertex {top} exceeds declared n={n}")
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(reader.n, pairs)
 
 
 def render_graph(g: Graph) -> str:

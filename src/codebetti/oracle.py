@@ -77,17 +77,17 @@ def _homology_dims(faces_by_size) -> dict[int, int]:
     return dims
 
 
-def _faces_within(gens, sigma: int):
-    """Faces of the restricted complex grouped by size; a face contains no generator support."""
-    active = [g for g in gens if g & ~sigma == 0]
-    by_size: list[list[int]] = [[] for _ in range(sigma.bit_count() + 1)]
-    sub = sigma
+def _faces(gens, within: int):
+    """Faces of the complex restricted to `within`, grouped by size; a face contains no generator support."""
+    active = [g for g in gens if g & ~within == 0]
+    by_size: list[list[int]] = [[] for _ in range(within.bit_count() + 1)]
+    sub = within
     while True:
         if not any(g & ~sub == 0 for g in active):
             by_size[sub.bit_count()].append(sub)
         if sub == 0:
             break
-        sub = (sub - 1) & sigma
+        sub = (sub - 1) & within
     for bucket in by_size:
         bucket.reverse()
     return by_size
@@ -127,7 +127,7 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma, max_vertices: int = 24) -
     if mask.bit_count() > max_vertices:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {max_vertices}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
-    dims = _homology_dims(_faces_within(gens, mask))
+    dims = _homology_dims(_faces(gens, mask))
     return HomologyResult(tuple(sorted(dims.items())))
 
 
@@ -136,20 +136,6 @@ def _support_unions(gens) -> list[int]:
     for g in gens:
         closure |= {s | g for s in closure}
     return sorted(closure)
-
-
-def _global_faces(gens, used: int):
-    by_size: list[list[int]] = [[] for _ in range(used.bit_count() + 1)]
-    sub = used
-    while True:
-        if not any(g & ~sub == 0 for g in gens):
-            by_size[sub.bit_count()].append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & used
-    for bucket in by_size:
-        bucket.reverse()
-    return by_size
 
 
 def _sweep_chunk(args) -> dict[tuple[int, int, int], int]:
@@ -188,7 +174,7 @@ def betti_table_oracle(
     sigmas = _support_unions(gens)
     if len(sigmas) > max_restrictions:
         raise GuardExceeded(f"{len(sigmas)} restrictions exceed the cap of {max_restrictions}")
-    faces_by_size = _global_faces(gens, used)
+    faces_by_size = _faces(gens, used)
     if threads <= 1:
         parts = [_sweep_chunk((ideal.n, sigmas, faces_by_size))]
     else:

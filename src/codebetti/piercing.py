@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .codes import MAX_NEURONS, NeuralCode, enumerate_interval, validate_code
+from .codes import MAX_NEURONS, NeuralCode, enumerate_interval, indices_of, validate_code
 from .graphs import EliminationOrdering, chordality, chordless_cycle_witness, relationship_graph
 from .polarization import PiercingStep, polarized_ideal
 from .pseudomonomials import canonical_form
@@ -159,42 +159,41 @@ def steps_for_order(code: NeuralCode, order) -> PiercingOrder | None:
     return PiercingOrder(tuple(steps))
 
 
-def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
-    """A piercing order if one exists, else None.
+_EMPTY = frozenset({0})
 
-    Backtracks over every piercing choice (memoized on the codeword set):
-    nothing guarantees that removing an arbitrary detected piercing first
-    preserves piercedness, so a greedy pass would be unsound.
+
+def _search_orders(words: frozenset[int], dead: set):
+    """Steps of every piercing order of a word set, by backtracking over every choice.
+
+    Nothing guarantees that removing an arbitrary detected piercing first
+    preserves piercedness, so a greedy pass would be unsound.  Word sets
+    found to have no piercing order are added to `dead` and not searched again.
     """
+    if words == _EMPTY:
+        yield ()
+        return
+    if words in dead:
+        return
+    found = False
+    active = 0
+    for w in words:
+        active |= w
+    for i in indices_of(active):
+        step = _detect_on_words(words, i)
+        if step is None:
+            continue
+        bit = 1 << (i - 1)
+        for rest in _search_orders(frozenset(w & ~bit for w in words), dead):
+            found = True
+            yield rest + (step,)
+    if not found:
+        dead.add(words)
+
+
+def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
+    """The first piercing order the backtracking search finds, else None."""
     require_clean(code)
-    memo: dict[frozenset[int], tuple[PiercingStep, ...] | None] = {}
-    empty = frozenset({0})
-
-    def search(words: frozenset[int]):
-        if words == empty:
-            return ()
-        cached = memo.get(words, False)
-        if cached is not False:
-            return cached
-        active = 0
-        for w in words:
-            active |= w
-        result = None
-        m = active
-        while m:
-            b = m & -m
-            m ^= b
-            step = _detect_on_words(words, b.bit_length())
-            if step is None:
-                continue
-            rest = search(frozenset(w & ~b for w in words))
-            if rest is not None:
-                result = rest + (step,)
-                break
-        memo[words] = result
-        return result
-
-    steps = search(code.words)
+    steps = next(_search_orders(code.words, set()), None)
     return None if steps is None else PiercingOrder(steps)
 
 
@@ -203,27 +202,7 @@ def iter_piercing_orders(code: NeuralCode, max_n: int = 9):
     if code.n > max_n:
         raise ValueError(f"n={code.n} exceeds the enumeration guard of {max_n}")
     require_clean(code)
-    empty = frozenset({0})
-
-    def rec(words: frozenset[int]):
-        if words == empty:
-            yield ()
-            return
-        active = 0
-        for w in words:
-            active |= w
-        m = active
-        while m:
-            b = m & -m
-            m ^= b
-            step = _detect_on_words(words, b.bit_length())
-            if step is None:
-                continue
-            reduced = frozenset(w & ~b for w in words)
-            for rest in rec(reduced):
-                yield rest + (step,)
-
-    for steps in rec(code.words):
+    for steps in _search_orders(code.words, set()):
         yield PiercingOrder(steps)
 
 
@@ -252,10 +231,7 @@ def is_inductively_pierced_fast(code: NeuralCode) -> FastVerdict:
     ordering = chordality(graph)
     if ordering is None:
         cycle = chordless_cycle_witness(graph)
-        if cycle:
-            reason = f"chordless {len(cycle)}-cycle " + "-".join(map(str, cycle)) + " in the relationship graph"
-        else:
-            reason = "relationship graph is not chordal"
+        reason = f"chordless {len(cycle)}-cycle " + "-".join(map(str, cycle)) + " in the relationship graph"
         return FastVerdict(False, degrees, None, cycle, reason)
     return FastVerdict(True, degrees, ordering, None, "")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .codes import indices_of, mask_of
+from .codes import MAX_INDEX, LineReader, indices_of, mask_of
 from .pseudomonomials import PseudoMonomial
 
 
@@ -101,11 +101,8 @@ class SquarefreeIdeal:
                     raise ValueError(f"{a.render()} divides {b.render()}: generators are not minimal")
 
     @classmethod
-    def from_monomials(cls, n: int, monomials, reduce: bool = False) -> "SquarefreeIdeal":
-        gens = list(monomials)
-        if reduce:
-            gens = minimalize(gens)
-        return cls(n, tuple(gens))
+    def from_monomials(cls, n: int, monomials) -> "SquarefreeIdeal":
+        return cls(n, tuple(monomials))
 
     @property
     def is_zero(self) -> bool:
@@ -171,13 +168,6 @@ def piercing_variables(step: PiercingStep, existing) -> tuple[SquarefreeMonomial
     return tuple(out)
 
 
-def piercing_ideal(step: PiercingStep, n: int) -> tuple[SquarefreeMonomial, ...]:
-    """Piercing variables in the normalized setting: the new neuron is n, 1..n-1 exist."""
-    if step.neuron != n:
-        raise ValueError("normalized form expects the newest neuron to be n")
-    return piercing_variables(step, (1 << (n - 1)) - 1)
-
-
 def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> SquarefreeIdeal:
     """Adjoin x_new * v for each piercing variable v.
 
@@ -211,10 +201,6 @@ def ideal_from_steps(steps, n: int | None = None) -> SquarefreeIdeal:
     return ideal
 
 
-def render_ideal(ideal: SquarefreeIdeal) -> str:
-    return ideal.render()
-
-
 _FACTOR_RE = re.compile(r"^([xy])([0-9]+)$")
 
 
@@ -222,44 +208,26 @@ def parse_ideal(text: str) -> SquarefreeIdeal:
     """Read a monomial-list file: one monomial per line, factors like "x3*y5".
 
     Accepts any squarefree ideal, not only polarized neural ones; redundant
-    generators are reduced away.  An optional "n=<int>" header fixes the
-    variable-pair count, otherwise the maximum index seen is used.
+    generators are reduced away.  Comments and the optional "n=" header
+    (the variable-pair count, otherwise the maximum index seen) follow
+    LineReader, with indices capped at MAX_INDEX.
     """
-    declared = None
+    reader = LineReader(text, MAX_INDEX, IdealParseError)
     gens: list[SquarefreeMonomial] = []
-    top = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("n="):
-            if gens or declared is not None:
-                raise IdealParseError(f"line {lineno}: n= header must come first")
-            try:
-                declared = int(line[2:])
-            except ValueError:
-                raise IdealParseError(f"line {lineno}: bad header {line!r}") from None
-            continue
+    for line in reader:
         if line == "0":
             continue
         xm = ym = 0
         for factor in line.split("*"):
             m = _FACTOR_RE.match(factor.strip())
             if m is None:
-                raise IdealParseError(f"line {lineno}: bad factor {factor.strip()!r}")
-            idx = int(m.group(2))
-            if idx <= 0:
-                raise IdealParseError(f"line {lineno}: variable indices are positive")
+                raise reader.fail(f"bad factor {factor.strip()!r}")
             if m.group(1) == "x":
-                xm |= 1 << (idx - 1)
+                xm |= reader.bit(m.group(2))
             else:
-                ym |= 1 << (idx - 1)
-            top = max(top, idx)
+                ym |= reader.bit(m.group(2))
         gens.append(SquarefreeMonomial(xm, ym))
-    n = top if declared is None else declared
-    if top > n:
-        raise IdealParseError(f"variable index {top} exceeds declared n={n}")
     try:
-        return SquarefreeIdeal.from_monomials(n, gens, reduce=True)
+        return SquarefreeIdeal(reader.n, tuple(minimalize(gens)))
     except ValueError as exc:
         raise IdealParseError(str(exc)) from exc

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from codebetti import cli
+from codebetti import BettiTable, cli
 from codebetti.cli import main
 from conftest import WORKED_LINES
 
 WORKED = "\n".join(WORKED_LINES) + "\n"
+
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_five_neurons.code"
 
 FOUR_CYCLE = "0\n1\n2\n3\n4\n1 2\n2 3\n3 4\n1 4\n"
 
@@ -320,3 +326,174 @@ def test_json_outputs_are_byte_stable(worked_file, capsys):
         assert rc == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+HUGE = 10**12
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} must not run on refused input")
+
+    return refuse
+
+
+# each case names the first stage that would do the work the guard prevents
+@pytest.mark.parametrize(
+    "argv, body, stage",
+    [
+        (["cf"], f"0\n1 {HUGE}\n", "canonical_form"),
+        (["betti", "--method", "oracle", "--ideal"], f"x1*y{HUGE}\n", "betti_table_oracle"),
+        (["chordal"], f"1-{HUGE}\n", "chordality"),
+        (["chordal"], "n=2000000\n1-2\n", "chordality"),
+        (["generate", "--steps"], f"step 1: sigma={{}} tau={{}} k=0 l=0\nstep 2: sigma={{}} tau={{{HUGE}}} k=1 l=0\n",
+         "build_code"),
+        (["generate", "--steps"], f"step {HUGE}: sigma={{}} tau={{}} k=0 l=0\n", "build_code"),
+    ],
+)
+def test_huge_index_or_header_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, body, stage):
+    monkeypatch.setattr(cli, stage, _refuse(stage))
+    p = tmp_path / "input.txt"
+    p.write_text(body)
+    rc, out, err = run(capsys, *argv, str(p))
+    assert rc == 2
+    assert out == ""
+    assert "exceeds the cap" in err or "outside 0.." in err
+
+
+@pytest.mark.parametrize(
+    "argv, body",
+    [
+        (["cf"], "n=-3\n1\n"),
+        (["betti", "--method", "oracle", "--ideal"], "n=-3\nx1\n"),
+        (["chordal"], "n=-3\n1-2\n"),
+        (["generate", "--steps"], "n=-3\nstep 1: sigma={} tau={} k=0 l=0\n"),
+        (["cf"], "n=17\n1\n"),
+        (["betti", "--method", "oracle", "--ideal"], "n=65\nx1\n"),
+        (["chordal"], "n=65\n1-2\n"),
+        (["generate", "--steps"], "n=17\nstep 1: sigma={} tau={} k=0 l=0\n"),
+    ],
+)
+def test_header_out_of_range_exits_2_in_every_format(tmp_path, capsys, argv, body):
+    p = tmp_path / "input.txt"
+    p.write_text(body)
+    rc, out, err = run(capsys, *argv, str(p))
+    assert rc == 2 and out == ""
+    assert "line 1: n=" in err and "is outside 0.." in err
+
+
+def test_graph_and_ideal_accept_indices_up_to_the_shared_cap(tmp_path, capsys):
+    g = tmp_path / "wide.graph"
+    g.write_text("1-64\n")
+    rc, out, _ = run(capsys, "chordal", str(g), "--json")
+    assert rc == 0 and json.loads(out)["output"]["chordal"] is True
+
+
+def test_oracle_guard_exits_2_for_an_ideal(tmp_path, capsys):
+    p = tmp_path / "wide.ideal"
+    p.write_text("".join(f"x{2 * i - 1}*x{2 * i}\n" for i in range(1, 12)))  # 22 variables
+    rc, out, err = run(capsys, "betti", "--ideal", str(p), "--method", "oracle")
+    assert rc == 2 and out == ""
+    assert "22 variables exceed the cap of 20" in err
+
+
+def test_oracle_guard_exits_2_under_method_all(tmp_path, capsys):
+    rc, body, _ = run(capsys, "generate", "--n", "14", "--seed", "3")
+    assert rc == 0
+    p = tmp_path / "n14.code"
+    p.write_text(body)
+    rc, out, err = run(capsys, "betti", str(p), "--method", "all")
+    assert rc == 2 and out == ""
+    assert "21 variables exceed the cap of 20" in err
+
+
+@pytest.mark.parametrize("certify", [[], ["--certify"]])
+def test_rejected_order_is_a_result(capsys, certify):
+    rc, out, err = run(capsys, "pierced", str(DEMO), "--order", "5,4,3,2,1", "--json", *certify)
+    assert rc == 0 and err == ""
+    assert json.loads(out)["output"] == {"pierced": True, "order_accepted": False}
+
+
+def test_invert_caps_n_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "invert_multigraded", _refuse("invert_multigraded"))
+    p = tmp_path / "table.json"
+    p.write_text(json.dumps({"n": 120, "multigraded": []}))
+    rc, out, err = run(capsys, "invert", str(p))
+    assert rc == 2 and out == ""
+    assert f"up to {cli.MAX_NEURONS}" in err
+
+
+def test_cross_check_mismatch_exits_3(worked_file, capsys, monkeypatch):
+    real = cli.betti_recursive
+
+    def off_by_one(order):
+        table = real(order)
+        return BettiTable.from_dict(table.n, {**table.as_dict, (0, 0, 0): 2})
+
+    monkeypatch.setattr(cli, "betti_recursive", off_by_one)
+    rc, out, err = run(capsys, "betti", worked_file, "--method", "all")
+    assert rc == 3 and out == ""
+    assert err.startswith("cross-check mismatch: formula and recursion tables differ")
+
+
+def test_max_n_option_is_gone(worked_file, capsys):
+    with pytest.raises(SystemExit):
+        main(["cf", worked_file, "--max-n", "1000000"])
+    assert "--max-n" in capsys.readouterr().err
+
+
+# indices: valid ones mixed with 0, negative, huge and garbage tokens
+st_index = st.one_of(st.integers(1, 6).map(str), st.sampled_from(["0", "-2", str(HUGE), "x", ""]))
+st_csv = st.lists(st_index, max_size=3).map(",".join)
+st_code_line = st.lists(st_index, min_size=1, max_size=4).map(" ".join)
+st_extra_line = st.sampled_from(["", "# note", "n=0", "n=3", "n=6", "n=-3", f"n={HUGE}", "n=x", "0", "?"])
+
+
+def st_lines(line):
+    return st.lists(st.one_of(line, st_extra_line), max_size=8).map("\n".join)
+
+
+st_count = st.one_of(st.integers(-2, 6), st.sampled_from([17, 120, HUGE, "3", None]))
+st_row = st.lists(st.one_of(st.integers(-2, 6), st.just(HUGE)), min_size=2, max_size=5)
+FUZZ = {
+    "cf": (["cf"], st_lines(st_code_line)),
+    "validate": (["validate"], st_lines(st_code_line)),
+    "graph": (["graph"], st_lines(st_code_line)),
+    "chordal": (["chordal"], st_lines(st.tuples(st_index, st_index).map("-".join))),
+    "generate": (
+        ["generate", "--steps"],
+        st_lines(st.tuples(st_index, st_csv, st_csv).map(lambda t: f"step {t[0]}: sigma={{{t[1]}}} tau={{{t[2]}}}")),
+    ),
+    "betti": (
+        ["betti", "--method", "oracle", "--ideal"],
+        st_lines(st.lists(st.tuples(st.sampled_from("xyz"), st_index).map("".join), min_size=1, max_size=3).map(
+            "*".join
+        )),
+    ),
+    "invert": (
+        ["invert"],
+        st.one_of(
+            st.fixed_dictionaries(
+                {"n": st_count},
+                optional={"graded": st.lists(st_row, max_size=4), "multigraded": st.lists(st_row, max_size=4)},
+            ).map(json.dumps),
+            st.sampled_from(["", "[1, 2]", "{", "null"]),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+def test_fuzz_cli_never_raises(tmp_path_factory, command):
+    argv, bodies = FUZZ[command]
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+
+    @settings(max_examples=60, deadline=None)
+    @given(bodies)
+    def check(body):
+        path.write_text(body)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*argv, str(path)])
+        assert rc in (0, 2, 3)
+
+    check()

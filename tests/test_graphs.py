@@ -1,5 +1,7 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from codebetti import (
     Graph,
@@ -87,6 +89,32 @@ def test_witness_is_a_chordless_cycle():
         for jdx in range(idx + 1, k):
             adjacent = (jdx - idx) in (1, k - 1)
             assert g.has_edge(cycle[idx], cycle[jdx]) == adjacent
+
+
+def test_witness_refuses_chordal_graph():
+    with pytest.raises(ValueError, match="chordal"):
+        chordless_cycle_witness(complete(4))
+
+
+st_dense_graphs = st.integers(4, 9).flatmap(
+    lambda n: st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2).map(
+        lambda bits: Graph.from_edges(
+            n, [p for p, keep in zip(combinations(range(1, n + 1), 2), bits) if keep]
+        )
+    )
+)
+
+
+@settings(max_examples=200)
+@given(st_dense_graphs)
+def test_witness_found_on_every_non_chordal_graph(g):
+    assume(chordality(g) is None)
+    cycle = chordless_cycle_witness(g)
+    k = len(cycle)
+    assert k >= 4 and len(set(cycle)) == k
+    for idx in range(k):
+        for jdx in range(idx + 1, k):
+            assert g.has_edge(cycle[idx], cycle[jdx]) == ((jdx - idx) in (1, k - 1))
 
 
 def test_profile_path3():

@@ -13,7 +13,6 @@ from codebetti import (
     ideal_from_steps,
     mask_of,
     parse_ideal,
-    piercing_ideal,
     piercing_variables,
     polarize,
     polarized_ideal,
@@ -77,21 +76,26 @@ def test_ideal_rejects_xy_overlap():
         SquarefreeIdeal(2, (SquarefreeMonomial(1, 1),))
 
 
+def normalized(n):
+    """Neurons 1..n-1: the existing set when the newest neuron is n."""
+    return (1 << (n - 1)) - 1
+
+
 def test_piercing_ideal_examples():
     step = PiercingStep(5, mask_of((3,)), mask_of((2, 3)))
-    got = piercing_ideal(step, 5)
+    got = piercing_variables(step, normalized(5))
     assert [v.render() for v in got] == ["x1", "x4", "y3"]
 
-    assert piercing_ideal(PiercingStep(1, 0, 0), 1) == ()
+    assert piercing_variables(PiercingStep(1, 0, 0), normalized(1)) == ()
 
     step = PiercingStep(4, 0, mask_of((1, 2)))
-    assert [v.render() for v in piercing_ideal(step, 4)] == ["x3"]
+    assert [v.render() for v in piercing_variables(step, normalized(4))] == ["x3"]
 
 
 def test_piercing_ideal_cardinality():
     # (n-1-k-l) x's plus l y's
     step = PiercingStep(6, mask_of((1, 2)), mask_of((1, 2, 3)))
-    got = piercing_ideal(step, 6)
+    got = piercing_variables(step, normalized(6))
     xs = [v for v in got if v.xsupp]
     ys = [v for v in got if v.ysupp]
     assert len(xs) == 6 - 1 - step.k - step.ell and len(ys) == step.ell
