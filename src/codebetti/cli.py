@@ -30,8 +30,10 @@ from .pseudomonomials import canonical_form
 
 OK, INPUT_ERROR, MISMATCH = 0, 2, 3
 
-# upper bound on --threads, checked before any input is read or worker started
+# upper bound on betti --threads, checked before any input is read or worker started
 MAX_THREADS = 64
+# chordal checks profile invariance over every elimination ordering up to this many vertices
+PROFILE_CHECK_MAX_VERTICES = 8
 
 
 class CrossCheckMismatch(RuntimeError):
@@ -181,9 +183,9 @@ def cmd_pierced(args) -> int:
     return OK
 
 
-def _betti_tables(args, code, report) -> dict[str, BettiTable]:
+def _betti_tables(args, code) -> dict[str, BettiTable]:
     tables: dict[str, BettiTable] = {}
-    methods = ["formula", "recursion", "oracle"] if args.method == "all" else [args.method]
+    methods = ["formula", "recursion", "oracle"] if args.method in (None, "all") else [args.method]
     order = None
     if "formula" in methods or "recursion" in methods:
         order = is_inductively_pierced(code)
@@ -201,17 +203,22 @@ def _betti_tables(args, code, report) -> dict[str, BettiTable]:
 
 
 def cmd_betti(args) -> int:
+    if not 1 <= args.threads <= MAX_THREADS:
+        raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
     report = RunReport("betti")
     if args.ideal:
+        # checked before the file is read
+        if args.codefile or args.strip_silent:
+            raise ValueError("--ideal takes neither a code file nor --strip-silent")
+        if args.method not in (None, "oracle"):
+            raise ValueError("--ideal input supports only --method oracle")
         text = _read(args.ideal)
         report.input_digest = _digest(text)
-        ideal = parse_ideal(text)
-        if args.method not in ("oracle",):
-            raise ValueError("--ideal input supports only --method oracle")
-        tables = {"oracle": betti_table_oracle(ideal, threads=args.threads)}
+        tables = {"oracle": betti_table_oracle(parse_ideal(text), threads=args.threads)}
+    elif args.codefile:
+        tables = _betti_tables(args, _load_code(args, report))
     else:
-        code = _load_code(args, report)
-        tables = _betti_tables(args, code, report)
+        raise ValueError("pass a code file or --ideal")
     names = sorted(tables)
     first = tables[names[0]]
     for name in names[1:]:
@@ -293,7 +300,7 @@ def cmd_chordal(args) -> int:
         "chordal; elimination order " + ",".join(map(str, ordering.order)),
         "simplicial degree profile {" + ",".join(map(str, profile)) + "}",
     ]
-    if g.n <= args.enumerate_up_to:
+    if g.n <= PROFILE_CHECK_MAX_VERTICES:
         count = 0
         for other in all_elimination_orderings(g):
             count += 1
@@ -357,8 +364,6 @@ def cmd_generate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
-    common.add_argument("--threads", type=int, default=1, help="worker count for the oracle sweep")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subcommands")
 
     parser = argparse.ArgumentParser(
         prog="codebetti",
@@ -391,14 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betti", parents=[common], help="Betti table of a code or ideal")
     p.add_argument("codefile", nargs="?", help="code file (omit when using --ideal)")
-    p.add_argument("--ideal", help="monomial-list file; implies --method oracle")
+    p.add_argument("--ideal", help="monomial-list file instead of a code file; only --method oracle applies")
     p.add_argument("--strip-silent", action="store_true")
     p.add_argument(
         "--method",
         choices=["formula", "recursion", "oracle", "all"],
-        default="all",
-        help="computation route; 'all' cross-checks every route",
+        help="computation route; 'all' (the default for a code file) cross-checks every route,"
+        " 'oracle' is the default for --ideal",
     )
+    p.add_argument("--threads", type=int, default=1, help=f"worker count for the oracle sweep (1..{MAX_THREADS})")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("invert", parents=[common], help="piercing counts from a Betti table")
@@ -408,17 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chordal", parents=[common], help="chordality and elimination profile of a graph")
     p.add_argument("graphfile")
-    p.add_argument(
-        "--enumerate-up-to",
-        type=int,
-        default=8,
-        help="check profile invariance over all orderings up to this many vertices",
-    )
     p.set_defaults(func=cmd_chordal)
 
     p = sub.add_parser("generate", parents=[common], help="emit a random pierced code, or replay steps")
     p.add_argument("--n", type=int, help="number of neurons")
     p.add_argument("--kmax", type=int, help="largest interval rank a step may pierce")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random code")
     p.add_argument("--steps", help="replay a steps file instead of sampling")
     p.set_defaults(func=cmd_generate)
 
@@ -433,10 +434,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 1 <= args.threads <= MAX_THREADS:
-            raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
-        if args.func is cmd_betti and not args.ideal and not args.codefile:
-            raise ValueError("pass a code file or --ideal")
         return args.func(args)
     except (ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -71,11 +71,8 @@ class NeuralCode:
 
     @classmethod
     def from_words(cls, n: int, words) -> "NeuralCode":
-        """Build a code from masks or index iterables; the empty word is added."""
-        ws = {0}
-        for w in words:
-            ws.add(w if isinstance(w, int) else mask_of(w))
-        return cls(n, frozenset(ws))
+        """Build a code from codeword masks; the empty word is added."""
+        return cls(n, frozenset(words) | {0})
 
     def sorted_words(self) -> list[int]:
         return sorted(self.words, key=lambda w: (w.bit_count(), indices_of(w)))
@@ -151,14 +148,15 @@ class LineReader:
         return self.top if self.declared is None else self.declared
 
 
-def parse_code(text: str, max_n: int = MAX_NEURONS) -> NeuralCode:
+def parse_code(text: str) -> NeuralCode:
     """Read a code file: one codeword per line of 1-based indices.
 
     The line "0" is the empty codeword; comments and the optional "n="
-    header follow LineReader (otherwise the maximum index seen is used).
+    header follow LineReader (otherwise the maximum index seen is used);
+    indices are capped at MAX_NEURONS.
     A missing empty codeword is inserted with a CodeFormatWarning.
     """
-    reader = LineReader(text, max_n, CodeParseError)
+    reader = LineReader(text, MAX_NEURONS, CodeParseError)
     words = set()
     for line in reader:
         mask = 0

@@ -10,6 +10,10 @@ from .codes import MAX_INDEX, LineReader, indices_of
 from .polarization import SquarefreeIdeal
 
 
+# most vertices (graphs) or neurons (codes) whose orderings are enumerated exhaustively
+MAX_ENUMERATED = 9
+
+
 class NotSimplicialError(ValueError):
     """An ordering stopped being simplicial; the message names the failing step."""
 
@@ -99,10 +103,8 @@ def _removal_degrees(g: Graph, order) -> tuple[int, ...]:
     return tuple(degs)
 
 
-def simplicial_degree_profile(g: Graph, order) -> tuple[int, ...]:
+def simplicial_degree_profile(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
     """Multiset of residual degrees along a removal order; raises NotSimplicialError otherwise."""
-    if isinstance(order, EliminationOrdering):
-        order = order.order
     return tuple(sorted(_removal_degrees(g, order)))
 
 
@@ -195,10 +197,10 @@ def _cycle_through(g: Graph, adj: list[int], v: int, u: int, w: int) -> tuple[in
     return None
 
 
-def all_elimination_orderings(g: Graph, max_n: int = 9):
+def all_elimination_orderings(g: Graph):
     """Every simplicial elimination ordering, by backtracking over simplicial vertices."""
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds the enumeration guard of {max_n}")
+    if g.n > MAX_ENUMERATED:
+        raise ValueError(f"n={g.n} exceeds the enumeration guard of {MAX_ENUMERATED}")
     adj = g.adjacency()
 
     def rec(remaining: int, order: list[int], degs: list[int]):

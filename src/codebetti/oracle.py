@@ -18,8 +18,14 @@ from .polarization import SquarefreeIdeal, polarized_ideal
 from .pseudomonomials import canonical_form
 
 
+# size guards, each checked before the work it bounds
+MAX_HOMOLOGY_VERTICES = 24  # restricted_homology: vertices of one restriction
+MAX_ORACLE_VARS = 20  # betti_table_oracle: distinct variables in the generators
+MAX_RESTRICTIONS = 1 << 20  # betti_table_oracle: restrictions swept
+
+
 class GuardExceeded(RuntimeError):
-    """A brute-force sweep would exceed its configured size guard."""
+    """A brute-force sweep would exceed one of its size guards."""
 
 
 class HypothesisViolation(ValueError):
@@ -117,15 +123,15 @@ def variable_mask(n: int, names) -> int:
     return mask
 
 
-def restricted_homology(ideal: SquarefreeIdeal, sigma, max_vertices: int = 24) -> HomologyResult:
+def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     """Reduced homology of the Stanley-Reisner complex restricted to the variables in sigma.
 
     sigma is an int mask in the 2n-variable layout, or an iterable of
     variable names.
     """
     mask = sigma if isinstance(sigma, int) else variable_mask(ideal.n, sigma)
-    if mask.bit_count() > max_vertices:
-        raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {max_vertices}")
+    if mask.bit_count() > MAX_HOMOLOGY_VERTICES:
+        raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     dims = _homology_dims(_faces(gens, mask))
     return HomologyResult(tuple(sorted(dims.items())))
@@ -153,12 +159,7 @@ def _sweep_chunk(args) -> dict[tuple[int, int, int], int]:
     return counts
 
 
-def betti_table_oracle(
-    ideal: SquarefreeIdeal,
-    threads: int = 1,
-    max_vars: int = 20,
-    max_restrictions: int = 1 << 20,
-) -> BettiTable:
+def betti_table_oracle(ideal: SquarefreeIdeal, threads: int = 1) -> BettiTable:
     """Multigraded Betti table of S/J computed by the restriction sweep.
 
     Restrictions that are not unions of generator supports have a cone
@@ -169,11 +170,11 @@ def betti_table_oracle(
     used = 0
     for g in gens:
         used |= g
-    if used.bit_count() > max_vars:
-        raise GuardExceeded(f"{used.bit_count()} variables exceed the cap of {max_vars}")
+    if used.bit_count() > MAX_ORACLE_VARS:
+        raise GuardExceeded(f"{used.bit_count()} variables exceed the cap of {MAX_ORACLE_VARS}")
     sigmas = _support_unions(gens)
-    if len(sigmas) > max_restrictions:
-        raise GuardExceeded(f"{len(sigmas)} restrictions exceed the cap of {max_restrictions}")
+    if len(sigmas) > MAX_RESTRICTIONS:
+        raise GuardExceeded(f"{len(sigmas)} restrictions exceed the cap of {MAX_RESTRICTIONS}")
     faces_by_size = _faces(gens, used)
     if threads <= 1:
         parts = [_sweep_chunk((ideal.n, sigmas, faces_by_size))]
@@ -182,8 +183,7 @@ def betti_table_oracle(
         # over-chunking lets the pool balance dynamically, and the merge is
         # a sum, so scheduling order cannot change the result
         pieces = [sigmas[i :: threads * 8] for i in range(threads * 8)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads) as pool:
+        with multiprocessing.Pool(threads) as pool:
             parts = pool.map(_sweep_chunk, [(ideal.n, ch, faces_by_size) for ch in pieces if ch])
     counts: dict[tuple[int, int, int], int] = {}
     for part in parts:

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .codes import MAX_NEURONS, NeuralCode, enumerate_interval, indices_of, validate_code
-from .graphs import EliminationOrdering, chordality, chordless_cycle_witness, relationship_graph
+from .graphs import MAX_ENUMERATED, EliminationOrdering, chordality, chordless_cycle_witness, relationship_graph
 from .polarization import PiercingStep, polarized_ideal
 from .pseudomonomials import canonical_form
 
@@ -197,10 +197,10 @@ def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
     return None if steps is None else PiercingOrder(steps)
 
 
-def iter_piercing_orders(code: NeuralCode, max_n: int = 9):
+def iter_piercing_orders(code: NeuralCode):
     """Every piercing order of the code, by exhaustive backtracking."""
-    if code.n > max_n:
-        raise ValueError(f"n={code.n} exceeds the enumeration guard of {max_n}")
+    if code.n > MAX_ENUMERATED:
+        raise ValueError(f"n={code.n} exceeds the enumeration guard of {MAX_ENUMERATED}")
     require_clean(code)
     for steps in _search_orders(code.words, set()):
         yield PiercingOrder(steps)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .codes import MAX_INDEX, LineReader, indices_of, mask_of
+from .codes import MAX_INDEX, LineReader, indices_of
 from .pseudomonomials import PseudoMonomial
 
 
@@ -155,15 +155,14 @@ class PiercingStep:
 def piercing_variables(step: PiercingStep, existing) -> tuple[SquarefreeMonomial, ...]:
     """Variables x_i for existing fields disjoint from the new one, plus y_j for j in sigma.
 
-    `existing` is the set (mask or iterable of 1-based indices) of neurons
-    present before the step; there are (|existing| - k - l) x's and l y's.
+    `existing` is the mask of neurons present before the step; there are
+    (|existing| - k - l) x's and l y's.
     """
-    exist_mask = existing if isinstance(existing, int) else mask_of(existing)
-    if step.tau & ~exist_mask:
+    if step.tau & ~existing:
         raise ValueError(f"{step.render()}: pierces neurons that are not present yet")
-    if exist_mask >> (step.neuron - 1) & 1:
+    if existing >> (step.neuron - 1) & 1:
         raise ValueError(f"neuron {step.neuron} is already present")
-    out = [SquarefreeMonomial(1 << (i - 1), 0) for i in indices_of(exist_mask & ~step.tau)]
+    out = [SquarefreeMonomial(1 << (i - 1), 0) for i in indices_of(existing & ~step.tau)]
     out += [SquarefreeMonomial(0, 1 << (j - 1)) for j in indices_of(step.sigma)]
     return tuple(out)
 
@@ -173,15 +172,16 @@ def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> 
 
     For a genuinely new piercing step the union needs no antichain
     reduction; if it would, the step is inconsistent and we raise.
+    `existing` is the mask of neurons present before the step (default:
+    neurons below the new one).
     """
     if existing is None:
         existing = (1 << (step.neuron - 1)) - 1
-    exist_mask = existing if isinstance(existing, int) else mask_of(existing)
     for g in J_prev.gens:
-        if (g.xsupp | g.ysupp) & ~exist_mask:
+        if (g.xsupp | g.ysupp) & ~existing:
             raise ValueError("previous ideal uses neurons outside the existing set")
     new_bit = 1 << (step.neuron - 1)
-    new = [SquarefreeMonomial(v.xsupp | new_bit, v.ysupp) for v in piercing_variables(step, exist_mask)]
+    new = [SquarefreeMonomial(v.xsupp | new_bit, v.ysupp) for v in piercing_variables(step, existing)]
     try:
         return SquarefreeIdeal(max(J_prev.n, step.neuron), J_prev.gens + tuple(new))
     except ValueError as exc:

@@ -12,7 +12,8 @@ from conftest import WORKED_LINES
 
 WORKED = "\n".join(WORKED_LINES) + "\n"
 
-DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_five_neurons.code"
+DATA = Path(__file__).resolve().parent.parent / "data"
+DEMO = DATA / "demo_five_neurons.code"
 
 FOUR_CYCLE = "0\n1\n2\n3\n4\n1 2\n2 3\n3 4\n1 4\n"
 
@@ -145,6 +146,8 @@ def test_betti_from_ideal_file(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(out)
     assert payload["output"]["multigraded"] == [[0, 0, 0, 1], [1, 1, 1, 1], [1, 2, 0, 1], [2, 2, 1, 1]]
+    # --method defaults to oracle for --ideal
+    assert run(capsys, "betti", "--ideal", str(p), "--json") == (0, out, "")
 
 
 def test_betti_requires_input(capsys):
@@ -437,9 +440,35 @@ def test_cross_check_mismatch_exits_3(worked_file, capsys, monkeypatch):
 
 
 def test_max_n_option_is_gone(worked_file, capsys):
-    with pytest.raises(SystemExit):
-        main(["cf", worked_file, "--max-n", "1000000"])
-    assert "--max-n" in capsys.readouterr().err
+    # removed options, and options a subcommand does not read, are usage errors
+    for argv in (
+        ["cf", worked_file, "--max-n", "1000000"],
+        ["cf", worked_file, "--threads", "2"],
+        ["pierced", worked_file, "--seed", "1"],
+        ["validate", worked_file, "--threads", "1"],
+        ["chordal", worked_file, "--enumerate-up-to", "3"],
+    ):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert argv[2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--method", "all"], "only --method oracle"),
+        (["--method", "formula"], "only --method oracle"),
+        (["--method", "recursion"], "only --method oracle"),
+        (["--strip-silent"], "nor --strip-silent"),
+        (["CODEFILE"], "neither a code file"),
+    ],
+)
+def test_betti_ideal_rejects_other_inputs_before_reading(tmp_path, capsys, extra, message):
+    # the paths do not exist: the check must come before any file is read
+    extra = [str(tmp_path / "missing.code") if e == "CODEFILE" else e for e in extra]
+    rc, out, err = run(capsys, "betti", "--ideal", str(tmp_path / "missing.ideal"), *extra)
+    assert rc == 2 and out == ""
+    assert message in err
 
 
 # indices: valid ones mixed with 0, negative, huge and garbage tokens
@@ -455,10 +484,14 @@ def st_lines(line):
 
 st_count = st.one_of(st.integers(-2, 6), st.sampled_from([17, 120, HUGE, "3", None]))
 st_row = st.lists(st.one_of(st.integers(-2, 6), st.just(HUGE)), min_size=2, max_size=5)
+# code indices stay at 6 or below, so the oracle sees at most 12 variables
 FUZZ = {
     "cf": (["cf"], st_lines(st_code_line)),
     "validate": (["validate"], st_lines(st_code_line)),
     "graph": (["graph"], st_lines(st_code_line)),
+    "polarize": (["polarize"], st_lines(st_code_line)),
+    "pierced": (["pierced", "--certify"], st_lines(st_code_line)),
+    "betti-all": (["betti", "--method", "all"], st_lines(st_code_line)),
     "chordal": (["chordal"], st_lines(st.tuples(st_index, st_index).map("-".join))),
     "generate": (
         ["generate", "--steps"],
@@ -495,5 +528,80 @@ def test_fuzz_cli_never_raises(tmp_path_factory, command):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main([*argv, str(path)])
         assert rc in (0, 2, 3)
+
+    check()
+
+
+# each subcommand's flags; --threads never reaches 64 and generate --n stays at 8 or
+# below, so no run starts a large pool or a long sweep
+st_small = st.sampled_from(["-1", "0", "1", "3", "x"])
+st_threads = st.sampled_from(["-1", "0", "1", "2", "65", "x"])
+CODE_FLAGS = [("--json", None), ("--strip-silent", None)]
+FLAGS = {
+    "cf": CODE_FLAGS,
+    "polarize": CODE_FLAGS,
+    "graph": CODE_FLAGS + [("--dot", None)],
+    "pierced": CODE_FLAGS + [
+        ("--certify", None),
+        ("--order", st.sampled_from(["1,2,3,4,5", "5,4,3,2,1", "1,2", "x", ""])),
+    ],
+    "betti": CODE_FLAGS + [
+        ("--ideal", "PATH"),
+        ("--method", st.sampled_from(["formula", "recursion", "oracle", "all", "x"])),
+        ("--threads", st_threads),
+    ],
+    "invert": [("--json", None), ("--n", st.sampled_from(["-1", "0", "3", "5", "17", "x"]))],
+    "chordal": [("--json", None)],
+    "generate": [
+        ("--json", None),
+        ("--n", st.sampled_from(["-1", "0", "1", "5", "8", "x"])),
+        ("--kmax", st_small),
+        ("--seed", st_small),
+        ("--steps", "PATH"),
+    ],
+    "validate": [("--json", None)],
+}
+# removed flags and flags that only one subcommand reads, tried on every subcommand
+FOREIGN_FLAGS = [("--threads", st_threads), ("--seed", st_small), ("--enumerate-up-to", st_small),
+                 ("--max-n", st_small)]
+FLAG_FILES = {
+    "code": DEMO.read_text(),
+    "cycle": (DATA / "four_cycle.code").read_text(),
+    "ideal": "x1*x2\nx2*y3\n",
+    "graph": "1-2\n2-3\n3-1\n",
+    "steps": "step 1: sigma={} tau={} k=0 l=0\nstep 2: sigma={} tau={1} k=1 l=0\n",
+    "table": json.dumps({"n": 2, "graded": [[0, 0, 1], [1, 2, 1]]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_fuzz_cli_flags(tmp_path_factory, command):
+    folder = tmp_path_factory.mktemp("flags")
+    for name, body in FLAG_FILES.items():
+        (folder / name).write_text(body)
+    st_path = st.sampled_from([*FLAG_FILES, "missing"]).map(lambda name: str(folder / name))
+
+    def st_flags(vocabulary, max_size):
+        def st_flag(flag, values):
+            if values is None:
+                return st.just([flag])
+            return (st_path if values == "PATH" else values).map(lambda v: [flag, v])
+
+        return st.lists(st.sampled_from(vocabulary).flatmap(lambda fv: st_flag(*fv)), max_size=max_size)
+
+    # mostly zero or one positional and the subcommand's own flags, so most runs get past argparse
+    st_positionals = st.one_of(st.just([]), st_path.map(lambda p: [p]), st.lists(st_path, max_size=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st_positionals, st_flags(FLAGS[command], 4), st.one_of(st.just([]), st_flags(FOREIGN_FLAGS, 1)))
+    def check(positionals, flags, foreign):
+        argv = [command, *positionals, *(tok for flag in flags + foreign for tok in flag)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+        assert rc in (0, 2, 3), argv
 
     check()

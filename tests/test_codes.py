@@ -42,7 +42,7 @@ def test_parse_enforces_neuron_cap():
     with pytest.raises(CodeParseError):
         parse_code("17\n")
     with pytest.raises(CodeParseError):
-        parse_code("n=4\n1\n", max_n=3)
+        parse_code("n=17\n1\n")
 
 
 @pytest.mark.parametrize("text", [f"0\n{10**12}\n", f"n=3\n1 {10**12}\n", "n=3\n4\n"])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,7 +65,7 @@ def test_restricted_homology_empty_restriction():
 
 def test_restricted_homology_guard():
     with pytest.raises(GuardExceeded):
-        restricted_homology(SquarefreeIdeal(16, ()), (1 << 25) - 1, max_vertices=24)
+        restricted_homology(SquarefreeIdeal(16, ()), (1 << 25) - 1)
 
 
 def test_variable_mask():
@@ -165,9 +170,39 @@ def test_parallel_sweep_bit_identical(worked_code):
     assert betti_table_oracle(ideal_w, threads=2) == betti_table_oracle(ideal_w)
 
 
+# a platform without fork, as far as the library can see: get_context("fork") fails
+SPAWN_ONLY = """
+import multiprocessing
+real = multiprocessing.get_context
+def no_fork(method=None):
+    if method == "fork":
+        raise ValueError("cannot find context for 'fork'")
+    return real(method)
+multiprocessing.get_context = no_fork
+multiprocessing.set_start_method("spawn")
+from codebetti import betti_table_oracle, canonical_form, polarized_ideal, random_pierced_code
+_, code = random_pierced_code(6, seed=1)
+ideal = polarized_ideal(canonical_form(code), code.n)
+print(betti_table_oracle(ideal, threads=2) == betti_table_oracle(ideal, threads=1))
+"""
+
+
+def test_parallel_sweep_under_spawn():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_ONLY], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+
+
 def test_oracle_guard():
+    # 21 used variables, one above MAX_ORACLE_VARS
+    wide = SquarefreeIdeal(21, tuple(SquarefreeMonomial(1 << i, 0) for i in range(21)))
     with pytest.raises(GuardExceeded):
-        betti_table_oracle(J1, max_vars=3)
+        betti_table_oracle(wide)
 
 
 def test_characterization_worked(worked_code):
