@@ -42,41 +42,33 @@ class CrossCheckMismatch(RuntimeError):
 
 @dataclass
 class RunReport:
-    """Deterministically serializable run record for golden-file tests."""
+    """Deterministically serializable run record for golden-file tests.
+
+    `main` creates one per call and passes it to the command, which fills it
+    and returns its human-readable output.
+    """
 
     command: str
     input_digest: str | None = None
     output: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    timings: dict | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "input_digest": self.input_digest,
-            "output": self.output,
-            "warnings": self.warnings,
-        }
-        if self.timings is not None:
-            payload["timings"] = self.timings
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _read(path: str) -> str:
+def _read(path: str, report: RunReport) -> str:
+    """Text of the input file; its SHA-256 becomes the report's input digest."""
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    report.input_digest = hashlib.sha256(text.encode()).hexdigest()
+    return text
 
 
 def _load_code(args, report: RunReport):
-    text = _read(args.codefile)
-    report.input_digest = _digest(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = parse_code(text)
+        code = parse_code(_read(args.codefile, report))
     report.warnings += [str(w.message) for w in caught]
     if getattr(args, "strip_silent", False):
         diag = validate_code(code)
@@ -87,44 +79,28 @@ def _load_code(args, report: RunReport):
     return code
 
 
-def _emit(args, report: RunReport, human: str) -> None:
-    if args.json:
-        print(report.to_json())
-    else:
-        for w in report.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        print(human, end="" if human.endswith("\n") else "\n")
-
-
-def cmd_cf(args) -> int:
-    report = RunReport("cf")
+def cmd_cf(args, report: RunReport) -> str:
     code = _load_code(args, report)
     cf = canonical_form(code)
     report.output = {"n": code.n, "canonical_form": [f.render() for f in cf]}
-    _emit(args, report, "\n".join(f.render() for f in cf) if cf else "0")
-    return OK
+    return "\n".join(f.render() for f in cf) if cf else "0"
 
 
-def cmd_polarize(args) -> int:
-    report = RunReport("polarize")
+def cmd_polarize(args, report: RunReport) -> str:
     code = _load_code(args, report)
     ideal = polarized_ideal(canonical_form(code), code.n)
     report.output = {"n": ideal.n, "generators": [g.render() for g in ideal.gens]}
-    _emit(args, report, ideal.render())
-    return OK
+    return ideal.render()
 
 
-def cmd_graph(args) -> int:
-    report = RunReport("graph")
+def cmd_graph(args, report: RunReport) -> str:
     code = _load_code(args, report)
     g = relationship_graph(polarized_ideal(canonical_form(code), code.n))
     report.output = {"n": g.n, "edges": sorted(list(e) for e in g.edges)}
-    _emit(args, report, render_dot(g) if args.dot else render_graph(g))
-    return OK
+    return render_dot(g) if args.dot else render_graph(g)
 
 
-def cmd_validate(args) -> int:
-    report = RunReport("validate")
+def cmd_validate(args, report: RunReport) -> str:
     code = _load_code(args, report)
     diag = validate_code(code)
     report.output = {
@@ -139,12 +115,10 @@ def cmd_validate(args) -> int:
         "duplicate pairs: "
         + (" ".join(f"({i},{j})" for i, j in diag.duplicate_pairs) if diag.duplicate_pairs else "none")
     )
-    _emit(args, report, "\n".join(lines))
-    return OK
+    return "\n".join(lines)
 
 
-def cmd_pierced(args) -> int:
-    report = RunReport("pierced")
+def cmd_pierced(args, report: RunReport) -> str:
     code = _load_code(args, report)
     fast = is_inductively_pierced_fast(code)
     order = None
@@ -152,8 +126,7 @@ def cmd_pierced(args) -> int:
         order = steps_for_order(code, [int(tok) for tok in args.order.split(",")])
         if order is None:
             report.output = {"pierced": fast.pierced, "order_accepted": False}
-            _emit(args, report, f"order {args.order} is not a piercing order")
-            return OK
+            return f"order {args.order} is not a piercing order"
     elif fast.pierced or args.certify:
         order = is_inductively_pierced(code)
     # order stays None only when the fast verdict is negative and --certify is off
@@ -163,8 +136,7 @@ def cmd_pierced(args) -> int:
         )
     if not fast.pierced:
         report.output = {"pierced": False, "reason": fast.reason, "cf_degrees": list(fast.cf_degrees)}
-        _emit(args, report, f"not inductively pierced ({fast.reason})")
-        return OK
+        return f"not inductively pierced ({fast.reason})"
     profile = piercing_profile(order)
     report.output = {
         "pierced": True,
@@ -179,8 +151,7 @@ def cmd_pierced(args) -> int:
         + "; "
         + profile.render_marginals()
     )
-    _emit(args, report, "\n".join([head, profile.render(), order.render()]))
-    return OK
+    return "\n".join([head, profile.render(), order.render()])
 
 
 def _betti_tables(args, code) -> dict[str, BettiTable]:
@@ -202,19 +173,17 @@ def _betti_tables(args, code) -> dict[str, BettiTable]:
     return tables
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args, report: RunReport) -> str:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
-    report = RunReport("betti")
     if args.ideal:
         # checked before the file is read
         if args.codefile or args.strip_silent:
             raise ValueError("--ideal takes neither a code file nor --strip-silent")
         if args.method not in (None, "oracle"):
             raise ValueError("--ideal input supports only --method oracle")
-        text = _read(args.ideal)
-        report.input_digest = _digest(text)
-        tables = {"oracle": betti_table_oracle(parse_ideal(text), threads=args.threads)}
+        ideal = parse_ideal(_read(args.ideal, report))
+        tables = {"oracle": betti_table_oracle(ideal, threads=args.threads)}
     elif args.codefile:
         tables = _betti_tables(args, _load_code(args, report))
     else:
@@ -231,8 +200,7 @@ def cmd_betti(args) -> int:
     human = first.render_triangle()
     if len(names) > 1:
         human += "methods agree: " + ", ".join(names) + "\n"
-    _emit(args, report, human)
-    return OK
+    return human
 
 
 def _int_rows(data: dict, key: str, width: int) -> list:
@@ -245,11 +213,8 @@ def _int_rows(data: dict, key: str, width: int) -> list:
     return rows
 
 
-def cmd_invert(args) -> int:
-    report = RunReport("invert")
-    text = _read(args.bettifile)
-    report.input_digest = _digest(text)
-    data = json.loads(text)
+def cmd_invert(args, report: RunReport) -> str:
+    data = json.loads(_read(args.bettifile, report))
     if not isinstance(data, dict):
         raise ValueError("the top level of a Betti table file must be a JSON object")
     n = args.n if args.n is not None else data.get("n")
@@ -258,40 +223,34 @@ def cmd_invert(args) -> int:
     # checked before any work: invert_multigraded loops n^4 times
     if type(n) is not int or not 0 <= n <= MAX_NEURONS:
         raise ValueError(f"neuron count must be a nonnegative integer up to {MAX_NEURONS}, got {n!r}")
-    output: dict = {"n": n}
+    report.output = {"n": n}
     lines = []
     if "multigraded" in data:
         entries = {(w, u, v): c for w, u, v, c in _int_rows(data, "multigraded", 4)}
         table = BettiTable.from_dict(n, entries)
         profile = invert_multigraded(table)
-        output["jkl"] = [[k, l, c] for (k, l), c in profile.jkl]
-        output["jk"] = list(profile.jk)
+        report.output["jkl"] = [[k, l, c] for (k, l), c in profile.jkl]
+        report.output["jk"] = list(profile.jk)
         lines += [profile.render(), profile.render_marginals()]
     elif "graded" in data:
         graded = {(w, j): c for w, j, c in _int_rows(data, "graded", 3)}
         jk = invert_graded(graded, n)
-        output["jk"] = list(jk)
+        report.output["jk"] = list(jk)
         lines.append(" ".join(f"j{k}={c}" for k, c in enumerate(jk)))
     else:
         raise ValueError("input file has neither a \"multigraded\" nor a \"graded\" field")
-    report.output = output
-    _emit(args, report, "\n".join(lines))
-    return OK
+    return "\n".join(lines)
 
 
-def cmd_chordal(args) -> int:
-    report = RunReport("chordal")
-    text = _read(args.graphfile)
-    report.input_digest = _digest(text)
-    g = parse_graph(text)
+def cmd_chordal(args, report: RunReport) -> str:
+    g = parse_graph(_read(args.graphfile, report))
     ordering = chordality(g)
     if ordering is None:
         cycle = chordless_cycle_witness(g)
         report.output = {"chordal": False, "witness": list(cycle)}
-        _emit(args, report, "not chordal (chordless cycle " + "-".join(map(str, cycle)) + ")")
-        return OK
+        return "not chordal (chordless cycle " + "-".join(map(str, cycle)) + ")"
     profile = ordering.profile()
-    out = {
+    report.output = {
         "chordal": True,
         "ordering": list(ordering.order),
         "profile": list(profile),
@@ -306,12 +265,10 @@ def cmd_chordal(args) -> int:
             count += 1
             if other.profile() != profile:
                 raise CrossCheckMismatch(f"ordering {other.order} has profile {other.profile()}")
-        out["orderings_checked"] = count
-        out["profile_invariant"] = True
+        report.output["orderings_checked"] = count
+        report.output["profile_invariant"] = True
         lines.append(f"profile invariant across all {count} orderings")
-    report.output = out
-    _emit(args, report, "\n".join(lines))
-    return OK
+    return "\n".join(lines)
 
 
 _STEP_RE = re.compile(
@@ -338,12 +295,9 @@ def parse_steps(text: str) -> PiercingOrder:
     return PiercingOrder(tuple(steps))
 
 
-def cmd_generate(args) -> int:
-    report = RunReport("generate")
+def cmd_generate(args, report: RunReport) -> str:
     if args.steps:
-        text = _read(args.steps)
-        report.input_digest = _digest(text)
-        order = parse_steps(text)
+        order = parse_steps(_read(args.steps, report))
         code = build_code(order.steps)
     else:
         if args.n is None:
@@ -357,13 +311,14 @@ def cmd_generate(args) -> int:
         "order": list(order.order),
         "steps": [s.render() for s in order.steps],
     }
-    _emit(args, report, body + trailer)
-    return OK
+    return body + trailer
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
+    strip = argparse.ArgumentParser(add_help=False)
+    strip.add_argument("--strip-silent", action="store_true", help="drop silent neurons first")
 
     parser = argparse.ArgumentParser(
         prog="codebetti",
@@ -371,33 +326,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("cf", parents=[common], help="canonical form of a code")
+    p = sub.add_parser("cf", parents=[common, strip], help="canonical form of a code")
     p.add_argument("codefile")
-    p.add_argument("--strip-silent", action="store_true", help="drop silent neurons first")
     p.set_defaults(func=cmd_cf)
 
-    p = sub.add_parser("polarize", parents=[common], help="polarized ideal of a code")
+    p = sub.add_parser("polarize", parents=[common, strip], help="polarized ideal of a code")
     p.add_argument("codefile")
-    p.add_argument("--strip-silent", action="store_true")
     p.set_defaults(func=cmd_polarize)
 
-    p = sub.add_parser("graph", parents=[common], help="general relationship graph of a code")
+    p = sub.add_parser("graph", parents=[common, strip], help="general relationship graph of a code")
     p.add_argument("codefile")
-    p.add_argument("--strip-silent", action="store_true")
     p.add_argument("--dot", action="store_true", help="emit DOT instead of an edge list")
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("pierced", parents=[common], help="inductively pierced verdict and profile")
+    p = sub.add_parser("pierced", parents=[common, strip], help="inductively pierced verdict and profile")
     p.add_argument("codefile")
-    p.add_argument("--strip-silent", action="store_true")
     p.add_argument("--certify", action="store_true", help="run the definitional check as well and compare")
     p.add_argument("--order", help="comma-separated construction order to validate")
     p.set_defaults(func=cmd_pierced)
 
-    p = sub.add_parser("betti", parents=[common], help="Betti table of a code or ideal")
+    p = sub.add_parser("betti", parents=[common, strip], help="Betti table of a code or ideal")
     p.add_argument("codefile", nargs="?", help="code file (omit when using --ideal)")
     p.add_argument("--ideal", help="monomial-list file instead of a code file; only --method oracle applies")
-    p.add_argument("--strip-silent", action="store_true")
     p.add_argument(
         "--method",
         choices=["formula", "recursion", "oracle", "all"],
@@ -431,10 +381,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    report = RunReport(args.subcommand)
     try:
-        return args.func(args)
+        human = args.func(args, report)
+        if args.json:
+            print(report.to_json())
+        else:
+            for w in report.warnings:
+                print(f"warning: {w}", file=sys.stderr)
+            print(human, end="" if human.endswith("\n") else "\n")
+        return OK
     except (ValueError, OSError, GuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -105,12 +105,6 @@ class HomologyResult:
 
     dims: tuple[tuple[int, int], ...]
 
-    def dim(self, degree: int) -> int:
-        for d, h in self.dims:
-            if d == degree:
-                return h
-        return 0
-
 
 def variable_mask(n: int, names) -> int:
     """Mask in the 2n-variable bit space for names like "x3" or "y5"."""

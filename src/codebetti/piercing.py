@@ -258,6 +258,8 @@ def random_pierced_code(n: int, kmax: int | None = None, seed: int = 0):
     """
     if n > MAX_NEURONS:
         raise ValueError(f"n={n} exceeds the cap of {MAX_NEURONS} neurons")
+    if kmax is not None and kmax < 0:
+        raise ValueError(f"kmax must be at least 0, got {kmax}")
     rng = random.Random(seed)
     words = {0}
     steps = []

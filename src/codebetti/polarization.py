@@ -100,10 +100,6 @@ class SquarefreeIdeal:
                 if a is not b and a.divides(b):
                     raise ValueError(f"{a.render()} divides {b.render()}: generators are not minimal")
 
-    @classmethod
-    def from_monomials(cls, n: int, monomials) -> "SquarefreeIdeal":
-        return cls(n, tuple(monomials))
-
     @property
     def is_zero(self) -> bool:
         return not self.gens

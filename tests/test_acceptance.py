@@ -178,14 +178,14 @@ def test_c06_projective_dimension(corpus_records):
 
 
 def test_c07_multigraded_discrimination():
-    J1 = SquarefreeIdeal.from_monomials(
-        4, [SquarefreeMonomial(mask_of((1, 3)), 0), SquarefreeMonomial(mask_of((2, 4)), 0)]
+    J1 = SquarefreeIdeal(
+        4, (SquarefreeMonomial(mask_of((1, 3)), 0), SquarefreeMonomial(mask_of((2, 4)), 0))
     )
-    J2 = SquarefreeIdeal.from_monomials(
-        4, [SquarefreeMonomial(mask_of((1, 4)), 0), SquarefreeMonomial(mask_of((3, 4)), 0)]
+    J2 = SquarefreeIdeal(
+        4, (SquarefreeMonomial(mask_of((1, 4)), 0), SquarefreeMonomial(mask_of((3, 4)), 0))
     )
-    J3 = SquarefreeIdeal.from_monomials(
-        4, [SquarefreeMonomial(mask_of((1, 4)), 0), SquarefreeMonomial(mask_of((4,)), mask_of((3,)))]
+    J3 = SquarefreeIdeal(
+        4, (SquarefreeMonomial(mask_of((1, 4)), 0), SquarefreeMonomial(mask_of((4,)), mask_of((3,))))
     )
     t1, t2, t3 = betti_table_oracle(J1), betti_table_oracle(J2), betti_table_oracle(J3)
     assert t2.graded() == t3.graded() == {(0, 0): 1, (1, 2): 2, (2, 3): 1}

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -14,6 +15,7 @@ WORKED = "\n".join(WORKED_LINES) + "\n"
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 DEMO = DATA / "demo_five_neurons.code"
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden"
 
 FOUR_CYCLE = "0\n1\n2\n3\n4\n1 2\n2 3\n3 4\n1 4\n"
 
@@ -291,6 +293,45 @@ def test_generate_replays_steps(tmp_path, worked_file, capsys):
     assert rc == 0
     body = "\n".join(line for line in out.splitlines() if not line.startswith("#")) + "\n"
     assert body == "n=5\n" + WORKED
+
+
+def test_generate_refuses_negative_kmax(capsys):
+    rc, out, err = run(capsys, "generate", "--n", "3", "--kmax", "-1")
+    assert rc == 2 and out == ""
+    assert err == "error: kmax must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["cf"], DEMO),
+        (["polarize"], DEMO),
+        (["graph"], DEMO),
+        (["pierced"], DEMO),
+        (["betti"], DEMO),
+        (["betti", "--ideal"], GOLDEN_INPUTS / "demo.ideal"),
+        (["invert"], GOLDEN_INPUTS / "graded.json"),
+        (["chordal"], GOLDEN_INPUTS / "chordal.graph"),
+        (["generate", "--steps"], GOLDEN_INPUTS / "demo.steps"),
+        (["generate", "--n", "5"], None),
+        (["validate"], DEMO),
+    ],
+)
+def test_json_report_names_command_and_input_digest(capsys, argv, path):
+    rc, out, _ = run(capsys, *argv, *([str(path)] if path else []), "--json")
+    assert rc == 0
+    report = json.loads(out)
+    assert sorted(report) == ["command", "input_digest", "output", "warnings"]
+    assert report["command"] == argv[0]
+    assert report["input_digest"] == (hashlib.sha256(path.read_bytes()).hexdigest() if path else None)
+
+
+@pytest.mark.parametrize("command", ["cf", "polarize", "graph", "pierced", "betti"])
+def test_strip_silent_has_help_on_every_code_command(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "drop silent neurons first" in capsys.readouterr().out
 
 
 def test_validate(tmp_path, capsys):

@@ -45,24 +45,24 @@ def test_relationship_graph_zero_ideal_is_complete():
 
 
 def test_relationship_graph_single_pair():
-    g = relationship_graph(SquarefreeIdeal.from_monomials(2, [SquarefreeMonomial(3, 0)]))
+    g = relationship_graph(SquarefreeIdeal(2, (SquarefreeMonomial(3, 0),)))
     assert g.edges == frozenset()
 
 
 def test_relationship_graph_rejects_non_quadratic():
     with pytest.raises(ValueError):
-        relationship_graph(SquarefreeIdeal.from_monomials(3, [SquarefreeMonomial(7, 0)]))
+        relationship_graph(SquarefreeIdeal(3, (SquarefreeMonomial(7, 0),)))
 
 
 def test_relationship_graph_xy_and_yx_forbid_the_same_pair():
     by_xy = relationship_graph(
-        SquarefreeIdeal.from_monomials(2, [SquarefreeMonomial(mask_of((1,)), mask_of((2,)))])
+        SquarefreeIdeal(2, (SquarefreeMonomial(mask_of((1,)), mask_of((2,))),))
     )
     by_yx = relationship_graph(
-        SquarefreeIdeal.from_monomials(2, [SquarefreeMonomial(mask_of((2,)), mask_of((1,)))])
+        SquarefreeIdeal(2, (SquarefreeMonomial(mask_of((2,)), mask_of((1,))),))
     )
     by_xx = relationship_graph(
-        SquarefreeIdeal.from_monomials(2, [SquarefreeMonomial(mask_of((1, 2)), 0)])
+        SquarefreeIdeal(2, (SquarefreeMonomial(mask_of((1, 2)), 0),))
     )
     assert by_xy == by_yx == by_xx
 

@@ -34,7 +34,7 @@ def ideal(n, *gens):
     monos = []
     for xs, ys in gens:
         monos.append(SquarefreeMonomial(mask_of(xs), mask_of(ys)))
-    return SquarefreeIdeal.from_monomials(n, monos)
+    return SquarefreeIdeal(n, tuple(monos))
 
 
 J1 = ideal(4, ((1, 3), ()), ((2, 4), ()))
@@ -155,8 +155,8 @@ def test_substitution_invariance(seed):
 def test_froeberg_consistency(edges):
     # for an edge ideal, regularity 2 is exactly chordality of the complement graph
     n = 5
-    edge_ideal = SquarefreeIdeal.from_monomials(
-        n, [SquarefreeMonomial(mask_of(p), 0) for p in edges]
+    edge_ideal = SquarefreeIdeal(
+        n, tuple(SquarefreeMonomial(mask_of(p), 0) for p in edges)
     )
     table = betti_table_oracle(edge_ideal)
     generator_graph = Graph.from_edges(n, edges)

@@ -148,6 +148,11 @@ def test_random_code_kmax_zero():
     assert is_inductively_pierced(code) is not None
 
 
+def test_random_code_refuses_negative_kmax():
+    with pytest.raises(ValueError, match="kmax must be at least 0, got -1"):
+        random_pierced_code(3, kmax=-1, seed=5)
+
+
 @given(st.integers(0, 2_000), st.integers(2, 5))
 @settings(max_examples=60)
 def test_profile_marginals(seed, n):

@@ -102,8 +102,8 @@ def test_piercing_ideal_cardinality():
 
 
 def test_extend_ideal_worked_final_step():
-    J4 = SquarefreeIdeal.from_monomials(
-        4, [SquarefreeMonomial(mask_of((1, 3)), 0), SquarefreeMonomial(mask_of((3, 4)), 0)]
+    J4 = SquarefreeIdeal(
+        4, (SquarefreeMonomial(mask_of((1, 3)), 0), SquarefreeMonomial(mask_of((3, 4)), 0))
     )
     got = extend_ideal(J4, PiercingStep(5, mask_of((3,)), mask_of((2, 3))))
     assert {g.render() for g in got.gens} == {"x1*x3", "x3*x4", "x1*x5", "x4*x5", "x5*y3"}
@@ -115,13 +115,13 @@ def test_extend_zero_by_first_step():
 
 
 def test_extend_by_full_rank_piercing_adds_nothing():
-    J = SquarefreeIdeal.from_monomials(3, [SquarefreeMonomial(mask_of((1, 2)), 0)])
+    J = SquarefreeIdeal(3, (SquarefreeMonomial(mask_of((1, 2)), 0),))
     step = PiercingStep(4, 0, mask_of((1, 2, 3)))
     assert extend_ideal(J, step).gens == J.gens
 
 
 def test_extend_rejects_inconsistent_step():
-    J = SquarefreeIdeal.from_monomials(2, [SquarefreeMonomial(mask_of((1, 2)), 0)])
+    J = SquarefreeIdeal(2, (SquarefreeMonomial(mask_of((1, 2)), 0),))
     with pytest.raises(ValueError):
         extend_ideal(J, PiercingStep(2, 0, mask_of((1,))))
 
