@@ -98,33 +98,26 @@ def multigraded_betti_closed(profile: PiercingProfile) -> BettiTable:
     The delta correction subtracts one at l = 0 for EVERY k in 0..n-1,
     including k with no piercings at all; dropping those k would overcount
     (on the five-neuron worked example it would give beta_{1,2} = 6, not 5).
+    Summed over all k by the hockey stick, sum_{k<n} C(n-1-k, w) = C(n, w+1),
+    it is the -C(n, w+1) at v = 0, so what is left visits only the nonzero j_{k,l}.
     """
     n = profile.n
-    jkl = profile.as_dict()
     counts = {(0, 0, 0): 1}
-    for w in range(1, n):
-        for v in range(0, w + 1):
-            u = w + 1 - v
-            total = 0
-            for k in range(n):
-                for l in range(n):
-                    a = jkl.get((k, l), 0) - (1 if l == 0 else 0)
-                    if a:
-                        total += a * binom(n - 1 - k - l, w - v) * binom(l, v)
-            if total < 0:
-                raise ValueError(f"negative entry beta[{w},{u},{v}] = {total}: invalid profile")
-            if total:
-                counts[(w, u, v)] = total
+    counts.update(((w, w + 1, 0), -binom(n, w + 1)) for w in range(1, n))
+    for (k, l), c in profile.jkl:
+        for w in range(1, n):
+            for v in range(min(l, w) + 1):
+                key = (w, w + 1 - v, v)
+                counts[key] = counts.get(key, 0) + c * binom(n - 1 - k - l, w - v) * binom(l, v)
     return BettiTable.from_dict(n, counts)
 
 
 def graded_betti_closed(profile: PiercingProfile) -> dict[tuple[int, int], int]:
-    """Graded view (w, w+1) -> count, directly from the marginals j_k."""
+    """Graded view (w, w+1) -> count, directly from the marginals j_k (delta term as above)."""
     n = profile.n
-    jk = profile.jk
     out = {(0, 0): 1}
     for w in range(1, n):
-        b = sum((jk[k] - 1) * binom(n - 1 - k, w) for k in range(n))
+        b = sum(c * binom(n - 1 - k, w) for (k, _), c in profile.jkl) - binom(n, w + 1)
         if b < 0:
             raise ValueError(f"negative entry beta[{w},{w + 1}] = {b}: invalid profile")
         if b:
@@ -156,20 +149,15 @@ def betti_recursive(order: PiercingOrder) -> BettiTable:
 
 def invert_graded(graded, n: int) -> tuple[int, ...]:
     """Recover the marginals j_k from a graded table via the inverse Pascal matrix."""
+    jk = [1] * n
     for (w, j), c in graded.items():
-        if c and (w, j) != (0, 0) and j != w + 1:
+        if not c or (w, j) == (0, 0):
+            continue
+        if j != w + 1 or not 0 <= w <= n - 1:
             raise ValueError(f"graded entry ({w},{j}) is off the linear strand")
-
-    def beta(w: int) -> int:
-        return graded.get((w, w + 1), 0)
-
-    jk = []
-    for k in range(n):
-        total = 1
-        for w in range(n - 1 - k, n):
+        for k in range(n - 1 - w, n):
             sign = -1 if (w - n + 1 + k) & 1 else 1
-            total += sign * binom(w, n - 1 - k) * beta(w)
-        jk.append(total)
+            jk[k] += sign * binom(w, n - 1 - k) * c
     if any(j < 0 for j in jk) or sum(jk) != n:
         raise ValueError(f"inverted marginals {jk} are invalid: input is not from a pierced code")
     return tuple(jk)
@@ -178,21 +166,16 @@ def invert_graded(graded, n: int) -> tuple[int, ...]:
 def invert_multigraded(table: BettiTable) -> PiercingProfile:
     """Recover the full j_{k,l} table from multigraded Betti numbers."""
     n = table.n
-    get = table.as_dict.get
-    counts: dict[tuple[int, int], int] = {}
-    for a in range(n):
-        for b in range(n):
-            total = 1 if b == 0 else 0
-            for v in range(n):
-                for w in range(n):
-                    c = get((w, w + 1 - v, v), 0)
-                    if c:
-                        sign = -1 if (w - n + 1 + a) & 1 else 1
-                        total += sign * c * binom(w - v, n - 1 - a - b) * binom(v, b)
-            if total < 0:
-                raise ValueError(f"inverted count j[{a},{b}] = {total} is negative: invalid table")
-            if total:
-                counts[(a, b)] = total
+    counts = {(a, 0): 1 for a in range(n)}
+    for w, u, v, c in table.entries:
+        if (w, u, v) == (0, 0, 0):
+            continue
+        if u < 1 or v < 0 or u + v != w + 1 or w > n - 1:
+            raise ValueError(f"multigraded entry ({w},{u},{v}) is off the linear strand")
+        for a in range(n):
+            sign = -1 if (w - n + 1 + a) & 1 else 1
+            for b in range(v + 1):
+                counts[(a, b)] = counts.get((a, b), 0) + sign * c * binom(w - v, n - 1 - a - b) * binom(v, b)
     return PiercingProfile.from_counts(n, counts)
 
 

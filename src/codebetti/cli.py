@@ -120,10 +120,18 @@ def cmd_validate(args, report: RunReport) -> str:
 
 def cmd_pierced(args, report: RunReport) -> str:
     code = _load_code(args, report)
+    if args.order is not None:
+        # checked before any work
+        try:
+            perm = [int(tok) for tok in args.order.split(",")]
+        except ValueError:
+            perm = None
+        if perm is None or sorted(perm) != list(range(1, code.n + 1)):
+            raise ValueError(f"--order expects a comma-separated permutation of 1..{code.n}, got {args.order!r}")
     fast = is_inductively_pierced_fast(code)
     order = None
-    if args.order:
-        order = steps_for_order(code, [int(tok) for tok in args.order.split(",")])
+    if args.order is not None:
+        order = steps_for_order(code, perm)
         if order is None:
             report.output = {"pierced": fast.pierced, "order_accepted": False}
             return f"order {args.order} is not a piercing order"
@@ -220,7 +228,8 @@ def cmd_invert(args, report: RunReport) -> str:
     n = args.n if args.n is not None else data.get("n")
     if n is None:
         raise ValueError("neuron count missing: pass --n or include \"n\" in the file")
-    # checked before any work: invert_multigraded loops n^4 times
+    # checked before any work: a table comes from a code of at most MAX_NEURONS neurons,
+    # and each inversion builds its n base counts before it reads an entry
     if type(n) is not int or not 0 <= n <= MAX_NEURONS:
         raise ValueError(f"neuron count must be a nonnegative integer up to {MAX_NEURONS}, got {n!r}")
     report.output = {"n": n}

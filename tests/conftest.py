@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from codebetti import NeuralCode, PseudoMonomial, mask_of, parse_code
+from codebetti import BettiTable, NeuralCode, PseudoMonomial, binom, mask_of, parse_code
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -45,6 +45,32 @@ def sweep_canonical_form(code):
                 sub = (sub - 1) & supp
     found.sort(key=PseudoMonomial.sort_key)
     return tuple(found)
+
+
+def grid_betti_closed(profile):
+    """Reference closed form as the paper prints it, over every (k, l) cell, for cross-checks only.
+
+    The delta correction subtracts one at l = 0 for EVERY k in 0..n-1,
+    including k with no piercings at all; dropping those k would overcount
+    (on the five-neuron worked example it would give beta_{1,2} = 6, not 5).
+    """
+    n = profile.n
+    jkl = profile.as_dict()
+    counts = {(0, 0, 0): 1}
+    for w in range(1, n):
+        for v in range(0, w + 1):
+            u = w + 1 - v
+            total = 0
+            for k in range(n):
+                for l in range(n):
+                    a = jkl.get((k, l), 0) - (1 if l == 0 else 0)
+                    if a:
+                        total += a * binom(n - 1 - k - l, w - v) * binom(l, v)
+            if total < 0:
+                raise ValueError(f"negative entry beta[{w},{u},{v}] = {total}: invalid profile")
+            if total:
+                counts[(w, u, v)] = total
+    return BettiTable.from_dict(n, counts)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from codebetti import (
     PiercingProfile,
     betti_recursive,
     binom,
+    enumerate_pierced_codes,
     graded_betti_closed,
     invert_graded,
     invert_multigraded,
@@ -16,6 +19,7 @@ from codebetti import (
     random_pierced_code,
     steps_for_order,
 )
+from conftest import grid_betti_closed
 
 WORKED_TABLE = {
     (0, 0, 0): 1,
@@ -107,7 +111,7 @@ def test_recursion_is_order_independent(worked_code):
     assert a == b
 
 
-@given(st.integers(0, 5_000), st.integers(1, 6))
+@given(st.integers(0, 5_000), st.integers(1, 16))
 @settings(max_examples=80, deadline=None)
 def test_triple_route_agreement_random(seed, n):
     order, _ = random_pierced_code(n, seed=seed)
@@ -162,7 +166,19 @@ def test_invert_multigraded_rejects_junk():
         invert_multigraded(BettiTable.from_dict(2, {(0, 0, 0): 1, (1, 2, 0): 5}))
 
 
-@given(st.integers(0, 5_000), st.integers(1, 6))
+@pytest.mark.parametrize("extra", [(1, 3, 1), (1, 0, 2), (5, 6, 0), (1, 3, -1)])
+def test_invert_multigraded_refuses_entries_off_the_strand(extra):
+    # every other entry is the worked example's table, which inverts cleanly
+    with pytest.raises(ValueError, match=r"entry \(.*\) is off the linear strand"):
+        invert_multigraded(BettiTable.from_dict(5, {**WORKED_TABLE, extra: 1}))
+
+
+def test_invert_graded_refuses_strand_entries_beyond_n():
+    with pytest.raises(ValueError, match=r"entry \(5,6\) is off the linear strand"):
+        invert_graded({(1, 2): 5, (2, 3): 6, (3, 4): 2, (5, 6): 1}, 5)
+
+
+@given(st.integers(0, 5_000), st.integers(1, 16))
 @settings(max_examples=80, deadline=None)
 def test_roundtrips_random(seed, n):
     order, _ = random_pierced_code(n, seed=seed)
@@ -205,3 +221,37 @@ def test_table_views(worked_profile):
     assert [1, 1, 1, 1] in payload["multigraded"]
     triangle = table.render_triangle()
     assert "total" in triangle and "5" in triangle
+
+
+def closed_or_error(closed, profile):
+    try:
+        return closed(profile)
+    except ValueError:
+        return ValueError
+
+
+def test_closed_form_equals_grid_on_enumerated_profiles():
+    profiles = {piercing_profile(is_inductively_pierced(code)) for code in enumerate_pierced_codes(5)}
+    for prof in profiles:
+        assert multigraded_betti_closed(prof) == grid_betti_closed(prof)
+
+
+def test_closed_form_equals_grid_on_random_codes():
+    for n in range(1, 17):
+        for seed in range(5):
+            prof = piercing_profile(random_pierced_code(n, seed=seed)[0])
+            assert multigraded_betti_closed(prof) == grid_betti_closed(prof)
+
+
+@st.composite
+def arbitrary_profiles(draw, max_n=9):
+    """Any counts PiercingProfile.from_counts accepts; most are not from a pierced code."""
+    n = draw(st.integers(1, max_n))
+    kinds = st.integers(0, n - 1).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, n - 1 - k)))
+    return PiercingProfile.from_counts(n, Counter(draw(st.lists(kinds, min_size=n, max_size=n))))
+
+
+@given(arbitrary_profiles())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_equals_grid_or_both_refuse(prof):
+    assert closed_or_error(multigraded_betti_closed, prof) == closed_or_error(grid_betti_closed, prof)

@@ -18,6 +18,7 @@ DEMO = DATA / "demo_five_neurons.code"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden"
 
 FOUR_CYCLE = "0\n1\n2\n3\n4\n1 2\n2 3\n3 4\n1 4\n"
+WORKED_MULTIGRADED = [[0, 0, 0, 1], [1, 1, 1, 1], [1, 2, 0, 4], [2, 2, 1, 2], [2, 3, 0, 4], [3, 3, 1, 1], [3, 4, 0, 1]]
 
 
 @pytest.fixture
@@ -93,6 +94,14 @@ def test_pierced_specific_orders(worked_file, capsys):
     assert rc == 0 and "order 1,2,3,4,5" in out
     rc, out, _ = run(capsys, "pierced", worked_file, "--order", "1,4,2,3,5")
     assert rc == 0 and "j0=1 j1=3 j2=1" in out
+
+
+@pytest.mark.parametrize("order", ["x", "1,2", "", "1,1,2,3,4", "1,2,3,4,6"])
+def test_pierced_refuses_malformed_order_before_any_work(worked_file, capsys, monkeypatch, order):
+    monkeypatch.setattr(cli, "is_inductively_pierced_fast", _refuse("is_inductively_pierced_fast"))
+    rc, out, err = run(capsys, "pierced", worked_file, "--order", order)
+    assert rc == 2 and out == ""
+    assert f"--order expects a comma-separated permutation of 1..5, got {order!r}" in err
 
 
 def test_pierced_four_cycle(tmp_path, capsys):
@@ -191,6 +200,12 @@ def test_invert_zeros(tmp_path, capsys):
         ('{"n": 3, "graded": [[1, 2]]}', "lists of 3 integers"),
         ('{"n": 3, "graded": 5}', "lists of 3 integers"),
         ('{"n": "3", "graded": []}', "nonnegative integer"),
+        # the worked example's tables plus one entry off the linear strand
+        (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 3, 1, 1]]}), "off the linear strand"),
+        (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 0, 2, 1]]}), "off the linear strand"),
+        (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[5, 6, 0, 1]]}), "off the linear strand"),
+        (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 3, -1, 1]]}), "off the linear strand"),
+        ('{"n": 5, "graded": [[1, 2, 5], [2, 3, 6], [3, 4, 2], [5, 6, 1]]}', "off the linear strand"),
     ],
 )
 def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):
