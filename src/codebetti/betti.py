@@ -151,6 +151,9 @@ def invert_graded(graded, n: int) -> tuple[int, ...]:
     """Recover the marginals j_k from a graded table via the inverse Pascal matrix."""
     jk = [1] * n
     for (w, j), c in graded.items():
+        # beta_0 of S/J is 1; an omitted entry is taken as that 1
+        if (w, j) == (0, 0) and c not in (0, 1):
+            raise ValueError(f"graded entry (0,0) is {c}, but beta_0 of a quotient S/J is 1")
         if not c or (w, j) == (0, 0):
             continue
         if j != w + 1 or not 0 <= w <= n - 1:
@@ -168,6 +171,9 @@ def invert_multigraded(table: BettiTable) -> PiercingProfile:
     n = table.n
     counts = {(a, 0): 1 for a in range(n)}
     for w, u, v, c in table.entries:
+        # as in invert_graded; the table holds no zero counts
+        if (w, u, v) == (0, 0, 0) and c != 1:
+            raise ValueError(f"multigraded entry (0,0,0) is {c}, but beta_0 of a quotient S/J is 1")
         if (w, u, v) == (0, 0, 0):
             continue
         if u < 1 or v < 0 or u + v != w + 1 or w > n - 1:

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from codebetti import BettiTable, NeuralCode, PseudoMonomial, binom, mask_of, parse_code
+from codebetti.oracle import _homology_dims
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -45,6 +46,42 @@ def sweep_canonical_form(code):
                 sub = (sub - 1) & supp
     found.sort(key=PseudoMonomial.sort_key)
     return tuple(found)
+
+
+def sweep_betti_table(ideal):
+    """Reference Betti table by the plain restriction sweep, for cross-checks only.
+
+    Every union sigma of generator supports gets its full restricted complex,
+    with no collapse and no memo, from a face list found by testing every
+    subset of the used variables; Hochster's formula credits its homology at
+    sigma's degrees.
+    """
+    n = ideal.n
+    gens = [g.support_mask(n) for g in ideal.gens]
+    used = 0
+    for g in gens:
+        used |= g
+    unions = {0}
+    for g in gens:
+        unions |= {s | g for s in unions}
+    faces_by_size = [[] for _ in range(used.bit_count() + 1)]
+    sub = used
+    while True:
+        if not any(g & ~sub == 0 for g in gens):
+            faces_by_size[sub.bit_count()].append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & used
+    xmask = (1 << n) - 1
+    counts = {}
+    for sigma in unions:
+        size = sigma.bit_count()
+        restricted = [[f for f in faces_by_size[s] if f & ~sigma == 0] for s in range(size + 1)]
+        u = (sigma & xmask).bit_count()
+        for d, h in _homology_dims(restricted).items():
+            key = (size - d - 1, u, size - u)
+            counts[key] = counts.get(key, 0) + h
+    return BettiTable.from_dict(n, counts)
 
 
 def grid_betti_closed(profile):

@@ -166,6 +166,22 @@ def test_invert_multigraded_rejects_junk():
         invert_multigraded(BettiTable.from_dict(2, {(0, 0, 0): 1, (1, 2, 0): 5}))
 
 
+@pytest.mark.parametrize("count", [7, 2, -4])
+def test_inversions_refuse_beta0_other_than_one(count):
+    with pytest.raises(ValueError, match=r"graded entry \(0,0\) is"):
+        invert_graded({(0, 0): count, (1, 2): 1}, 2)
+    with pytest.raises(ValueError, match=r"multigraded entry \(0,0,0\) is"):
+        invert_multigraded(BettiTable(2, ((0, 0, 0, count), (1, 2, 0, 1))))
+
+
+def test_inversions_accept_beta0_one_or_omitted():
+    assert invert_graded({(0, 0): 1, (1, 2): 1}, 2) == invert_graded({(1, 2): 1}, 2) == (2, 0)
+    assert invert_graded({(0, 0): 0, (1, 2): 1}, 2) == (2, 0)
+    with_beta0 = BettiTable.from_dict(2, {(0, 0, 0): 1, (1, 2, 0): 1})
+    without = BettiTable.from_dict(2, {(1, 2, 0): 1})
+    assert invert_multigraded(with_beta0) == invert_multigraded(without)
+
+
 @pytest.mark.parametrize("extra", [(1, 3, 1), (1, 0, 2), (5, 6, 0), (1, 3, -1)])
 def test_invert_multigraded_refuses_entries_off_the_strand(extra):
     # every other entry is the worked example's table, which inverts cleanly

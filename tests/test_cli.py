@@ -183,6 +183,15 @@ def test_invert_multigraded_via_betti_json(worked_file, tmp_path, capsys):
     assert "j[0,0]=1 j[1,0]=2 j[1,1]=1 j[2,0]=1" in out
 
 
+def test_invert_accepts_beta0_of_one(tmp_path, capsys):
+    p = tmp_path / "table.json"
+    for body in ({"n": 2, "multigraded": [[0, 0, 0, 1], [1, 2, 0, 1]]}, {"n": 2, "graded": [[0, 0, 1], [1, 2, 1]]}):
+        p.write_text(json.dumps(body))
+        rc, out, _ = run(capsys, "invert", str(p))
+        assert rc == 0
+        assert "j0=2 j1=0" in out
+
+
 def test_invert_zeros(tmp_path, capsys):
     p = tmp_path / "table.json"
     p.write_text(json.dumps({"n": 3, "graded": []}))
@@ -206,6 +215,9 @@ def test_invert_zeros(tmp_path, capsys):
         (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[5, 6, 0, 1]]}), "off the linear strand"),
         (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 3, -1, 1]]}), "off the linear strand"),
         ('{"n": 5, "graded": [[1, 2, 5], [2, 3, 6], [3, 4, 2], [5, 6, 1]]}', "off the linear strand"),
+        # beta_0 of a quotient is 1; only an omitted entry stands for it
+        ('{"n": 2, "multigraded": [[0, 0, 0, 7], [1, 2, 0, 1]]}', "multigraded entry (0,0,0) is 7"),
+        ('{"n": 2, "graded": [[0, 0, -4], [1, 2, 1]]}', "graded entry (0,0) is -4"),
     ],
 )
 def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):

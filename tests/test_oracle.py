@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from codebetti import (
     Graph,
     GuardExceeded,
     HypothesisViolation,
+    NeuralCode,
     SquarefreeIdeal,
     SquarefreeMonomial,
     betti_recursive,
@@ -18,6 +20,7 @@ from codebetti import (
     chordality,
     mask_of,
     multigraded_betti_closed,
+    oracle_sweep,
     pdim,
     piercing_profile,
     polarized_ideal,
@@ -27,7 +30,7 @@ from codebetti import (
     restricted_homology,
     variable_mask,
 )
-from conftest import code_of
+from conftest import code_of, sweep_betti_table
 
 
 def ideal(n, *gens):
@@ -163,6 +166,89 @@ def test_froeberg_consistency(edges):
     assert (regularity(table, of_ideal=True) == 2) == (
         chordality(generator_graph.complement()) is not None
     )
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, (1 << n) - 1), max_size=14))))
+@settings(max_examples=40, deadline=None)
+def test_reduced_engine_matches_plain_sweep_on_random_codes(drawn):
+    # codes are not filtered for cleanliness: a silent neuron i puts the
+    # degree-1 generator x_i into the canonical form
+    n, words = drawn
+    code = NeuralCode.from_words(n, words)
+    ideal_r = polarized_ideal(canonical_form(code), n)
+    assert betti_table_oracle(ideal_r) == sweep_betti_table(ideal_r)
+
+
+def test_reduced_engine_matches_plain_sweep_with_a_degree_one_generator():
+    # neuron 2 is silent, so x2 is a generator and never a vertex of a restricted complex
+    ideal_r = polarized_ideal(canonical_form(code_of((1,), (1, 3), n=3)), 3)
+    assert any(g.degree == 1 for g in ideal_r.gens)
+    assert betti_table_oracle(ideal_r) == sweep_betti_table(ideal_r)
+
+
+def _edge_ideal(edges):
+    # variables 0..5 are x1..x6 and 6..11 are y1..y6; x_i*y_i is no generator
+    monos = set()
+    for a, b in edges:
+        mask = (1 << a) | (1 << b)
+        monos.add(SquarefreeMonomial(mask & 0x3F, mask >> 6))
+    return SquarefreeIdeal(6, tuple(monos))
+
+
+EDGES = st.sets(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda p: p[0] < p[1] and p[1] - p[0] != 6),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(EDGES)
+@settings(max_examples=40, deadline=None)
+def test_reduced_engine_matches_plain_sweep_on_edge_ideals(edges):
+    ideal_e = _edge_ideal(edges)
+    assert betti_table_oracle(ideal_e) == sweep_betti_table(ideal_e)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_reduced_engine_matches_closed_form_beyond_the_plain_sweep(n):
+    order, code = random_pierced_code(n, seed=3)
+    ideal_r = polarized_ideal(canonical_form(code), code.n)
+    assert betti_table_oracle(ideal_r) == multigraded_betti_closed(piercing_profile(order))
+
+
+def test_oracle_counters_on_the_c11_instance():
+    _, code = random_pierced_code(11, seed=3)
+    ideal_c = polarized_ideal(canonical_form(code), code.n)
+    table, counters = oracle_sweep(ideal_c)
+    assert counters.restrictions == 40_529
+    # a restriction is a cone iff its complex strong-collapses to a point,
+    # whatever order the dominated vertices go in
+    assert counters.cones == 35_080
+    assert counters.cores < counters.restrictions
+    assert counters.cones + counters.cores + counters.memo_hits == counters.restrictions
+    assert table == betti_table_oracle(ideal_c)
+
+
+def _general_ideal(seed):
+    # a dense random code on six neurons: its canonical form is not quadratic
+    rng = random.Random(seed)
+    code = NeuralCode.from_words(6, rng.sample(range(1, 64), 12))
+    ideal_g = polarized_ideal(canonical_form(code), 6)
+    assert any(g.degree != 2 for g in ideal_g.gens)
+    return ideal_g
+
+
+@pytest.mark.parametrize(
+    "ideal_p",
+    [_general_ideal(1), _general_ideal(2), _edge_ideal({(0, 3), (3, 8), (8, 1), (1, 10), (10, 0), (2, 4), (4, 11)})],
+    ids=["general-1", "general-2", "edge"],
+)
+def test_parallel_parity_across_thread_counts(ideal_p):
+    # the pool splits the unions, then the cores, over the workers; neither
+    # the table nor the counters may depend on that split
+    runs = [oracle_sweep(ideal_p, threads=t) for t in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0] == sweep_betti_table(ideal_p)
 
 
 def test_parallel_sweep_bit_identical(worked_code):
