@@ -28,8 +28,9 @@ reference `sweep_betti_table` in tests/conftest.py.
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
-from contextlib import nullcontext
+import os
 from dataclasses import dataclass
 
 from .betti import BettiTable
@@ -256,26 +257,49 @@ def _core_homology(args) -> list[tuple[int, dict[int, int]]]:
     ]
 
 
-@dataclass(frozen=True)
-class OracleCounters:
-    """Work of one sweep: each restriction is a cone, the first with its core, or a memo hit."""
-
-    restrictions: int
-    cones: int
-    cores: int
-    memo_hits: int
+_POOL = None  # (pid, threads, pool) of the last parallel sweep in this process
 
 
-def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, OracleCounters]:
-    """Multigraded Betti table of S/J by the reduced restriction sweep, with its counters.
+def _worker_pool(threads: int):
+    """A pool of `threads` workers, kept for the next parallel sweep of this process.
+
+    Starting and stopping a pool costs about as much as a whole mid-sized
+    sweep, so one pool serves every call with the same thread count; a new
+    count replaces it. A forked child starts its own, as the parent's pool
+    is no use there.
+    """
+    global _POOL
+    pid = os.getpid()
+    if _POOL is not None and _POOL[:2] == (pid, threads):
+        return _POOL[2]
+    if _POOL is not None and _POOL[0] == pid:
+        _POOL[2].terminate()
+    _POOL = (pid, threads, multiprocessing.Pool(threads))
+    return _POOL[2]
+
+
+@atexit.register
+def _stop_worker_pool() -> None:
+    # before interpreter teardown, so that the pool does not stop itself
+    # half-way through with an ignored exception on stderr
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].terminate()
+
+
+def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, dict[str, int]]:
+    """Multigraded Betti table of S/J by the reduced restriction sweep, with its work counts.
 
     Restrictions that are not unions of generator supports have a cone
     point and contribute nothing, so the sweep runs exactly over those
     unions (plus the empty restriction, which yields the (0,0,0) entry).
-    With threads > 1 a pool first reduces one strided share of the unions
-    per worker, then computes one strided share of the distinct cores per
-    worker, so no core is computed twice and nothing depends on threads.
+    The counts are the restrictions, the cones among them and the distinct
+    cores; every other restriction reuses the homology of a core already
+    computed. With threads > 1 a pool first reduces one strided share of the
+    unions per worker, then computes one strided share of the distinct cores
+    per worker, so no core is computed twice and nothing depends on threads;
+    threads < 1 runs serially, as threads = 1 does.
     """
+    threads = max(1, threads)
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     used = 0
     for g in gens:
@@ -287,31 +311,32 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
         raise GuardExceeded(f"{len(sigmas)} restrictions exceed the cap of {MAX_RESTRICTIONS}")
     faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
-    with (multiprocessing.Pool(threads) if threads > 1 else nullcontext()) as pool:
-        run = map if pool is None else pool.map
-        # one chunk per worker and phase: strided shares are balanced, and each
-        # further task would cost the pool a round trip
-        reduced = run(_reduce_chunk, [(ideal.n, sigmas[i::threads], table) for i in range(threads)])
-        cones = 0
-        credits: dict[int, dict[tuple[int, int], int]] = {}
-        for part_cones, part in reduced:
-            cones += part_cones
-            for core, keys in part.items():
-                at = credits.setdefault(core, {})
-                for key, mult in keys.items():
-                    at[key] = at.get(key, 0) + mult
-        cores = sorted(credits, key=lambda c: (c.bit_count(), c))
-        homologies = run(_core_homology, [(cores[i::threads], faces_by_size) for i in range(threads)])
-        # every merge is a sum, so scheduling order cannot change the result
-        counts: dict[tuple[int, int, int], int] = {}
-        for part in homologies:
-            for core, dims in part:
-                for (size, u), mult in credits[core].items():
-                    for d, h in dims.items():
-                        key = (size - d - 1, u, size - u)
-                        counts[key] = counts.get(key, 0) + h * mult
-    counters = OracleCounters(len(sigmas), cones, len(cores), len(sigmas) - cones - len(cores))
-    return BettiTable.from_dict(ideal.n, counts), counters
+    run = map if threads == 1 else _worker_pool(threads).map
+    # one chunk per worker and phase: strided shares are balanced, and each
+    # further task would cost the pool a round trip
+    reduced = run(_reduce_chunk, [(ideal.n, sigmas[i::threads], table) for i in range(threads)])
+    cones = 0
+    credits: dict[int, dict[tuple[int, int], int]] = {}
+    for part_cones, part in reduced:
+        cones += part_cones
+        for core, keys in part.items():
+            at = credits.setdefault(core, {})
+            for key, mult in keys.items():
+                at[key] = at.get(key, 0) + mult
+    # the cores' homology is most of the work on non-quadratic ideals, so it
+    # is split over the pool too
+    cores = sorted(credits, key=lambda c: (c.bit_count(), c))
+    homologies = run(_core_homology, [(cores[i::threads], faces_by_size) for i in range(threads)])
+    # every merge is a sum, so scheduling order cannot change the result
+    counts: dict[tuple[int, int, int], int] = {}
+    for part in homologies:
+        for core, dims in part:
+            for (size, u), mult in credits[core].items():
+                for d, h in dims.items():
+                    key = (size - d - 1, u, size - u)
+                    counts[key] = counts.get(key, 0) + h * mult
+    work = {"restrictions": len(sigmas), "cones": cones, "cores": len(cores)}
+    return BettiTable.from_dict(ideal.n, counts), work
 
 
 def betti_table_oracle(ideal: SquarefreeIdeal, threads: int = 1) -> BettiTable:

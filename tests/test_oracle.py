@@ -30,6 +30,7 @@ from codebetti import (
     restricted_homology,
     variable_mask,
 )
+from codebetti import oracle as oracle_module
 from conftest import code_of, sweep_betti_table
 
 
@@ -219,14 +220,12 @@ def test_reduced_engine_matches_closed_form_beyond_the_plain_sweep(n):
 def test_oracle_counters_on_the_c11_instance():
     _, code = random_pierced_code(11, seed=3)
     ideal_c = polarized_ideal(canonical_form(code), code.n)
-    table, counters = oracle_sweep(ideal_c)
-    assert counters.restrictions == 40_529
+    _, work = oracle_sweep(ideal_c)
+    assert work["restrictions"] == 40_529
     # a restriction is a cone iff its complex strong-collapses to a point,
     # whatever order the dominated vertices go in
-    assert counters.cones == 35_080
-    assert counters.cores < counters.restrictions
-    assert counters.cones + counters.cores + counters.memo_hits == counters.restrictions
-    assert table == betti_table_oracle(ideal_c)
+    assert work["cones"] == 35_080
+    assert work["cores"] < work["restrictions"] - work["cones"]
 
 
 def _general_ideal(seed):
@@ -238,22 +237,26 @@ def _general_ideal(seed):
     return ideal_g
 
 
-@pytest.mark.parametrize(
-    "ideal_p",
-    [_general_ideal(1), _general_ideal(2), _edge_ideal({(0, 3), (3, 8), (8, 1), (1, 10), (10, 0), (2, 4), (4, 11)})],
-    ids=["general-1", "general-2", "edge"],
-)
-def test_parallel_parity_across_thread_counts(ideal_p):
-    # the pool splits the unions, then the cores, over the workers; neither
-    # the table nor the counters may depend on that split
-    runs = [oracle_sweep(ideal_p, threads=t) for t in (1, 2, 3)]
-    assert runs[0] == runs[1] == runs[2]
-    assert runs[0][0] == sweep_betti_table(ideal_p)
-
-
 def test_parallel_sweep_bit_identical(worked_code):
-    ideal_w = polarized_ideal(canonical_form(worked_code), worked_code.n)
-    assert betti_table_oracle(ideal_w, threads=2) == betti_table_oracle(ideal_w)
+    # the pool splits the unions, then the cores, over the workers; neither
+    # the table nor the counts may depend on that split, on quadratic and
+    # non-quadratic ideals alike
+    ideals = [
+        polarized_ideal(canonical_form(worked_code), worked_code.n),
+        _general_ideal(1),
+        _general_ideal(2),
+        _edge_ideal({(0, 3), (3, 8), (8, 1), (1, 10), (10, 0), (2, 4), (4, 11)}),
+    ]
+    for ideal_p in ideals:
+        runs = [oracle_sweep(ideal_p, threads=t) for t in (1, 2, 3, 2)]
+        assert runs[0] == runs[1] == runs[2] == runs[3]
+        assert runs[0][0] == sweep_betti_table(ideal_p)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_sweep_serially(threads):
+    ideal_z = _general_ideal(1)
+    assert oracle_sweep(ideal_z, threads=threads) == oracle_sweep(ideal_z, threads=1)
 
 
 # a platform without fork, as far as the library can see: get_context("fork") fails
@@ -282,6 +285,44 @@ def test_parallel_sweep_under_spawn():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "True"
+
+
+# a process that reuses, replaces and inherits the kept worker pool
+POOL_LIFETIME = """
+import multiprocessing, sys
+from codebetti import betti_table_oracle, canonical_form, polarized_ideal, random_pierced_code
+_, code = random_pierced_code(6, seed=1)
+ideal = polarized_ideal(canonical_form(code), code.n)
+serial = betti_table_oracle(ideal)
+def child():
+    sys.exit(0 if betti_table_oracle(ideal, threads=2) == serial else 1)
+if __name__ == "__main__":
+    same = all(betti_table_oracle(ideal, threads=t) == serial for t in (3, 2, 2))
+    forked = multiprocessing.get_context("fork").Process(target=child)
+    forked.start()
+    forked.join(60)
+    if forked.is_alive():  # stuck on the parent's pool, whose threads it lacks
+        forked.kill()
+        forked.join()
+    print(same, forked.exitcode)
+"""
+
+
+def test_worker_pool_lifetime():
+    # the pool serves every sweep with its thread count, a new count replaces it
+    first = oracle_module._worker_pool(2)
+    assert oracle_module._worker_pool(2) is first
+    assert oracle_module._worker_pool(3) is not first
+    with pytest.raises(ValueError):
+        first.map(abs, [1])  # stopped
+    # a forked child starts its own pool, and the interpreter exits quietly
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_LIFETIME], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (done.returncode, done.stdout.strip(), done.stderr) == (0, "True 0", "")
 
 
 def test_oracle_guard():
