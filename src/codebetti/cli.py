@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -323,7 +324,16 @@ def cmd_generate(args, report: RunReport) -> str:
     return body + trailer
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later `main` call.
+
+    Building it takes about 1.5 ms, as long as a whole pierced-chain command.
+    Reuse is safe: parsing keeps no state in the parser, no option has a
+    mutable default, and each subcommand's `func` default is a fixed `cmd_*`
+    function. It is not built at import, so an import that never parses
+    pays nothing.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON run report")
     strip = argparse.ArgumentParser(add_help=False)

@@ -42,8 +42,9 @@ from .pseudomonomials import canonical_form
 
 # size guards, each checked before the work it bounds
 MAX_HOMOLOGY_VERTICES = 24  # restricted_homology: vertices of one restriction
-MAX_ORACLE_VARS = 20  # betti_table_oracle: distinct variables in the generators
-MAX_RESTRICTIONS = 1 << 20  # betti_table_oracle: restrictions swept
+# betti_table_oracle: distinct variables in the generators; this also bounds the
+# restrictions swept, as 20 variables have at most 2^20 unions of supports
+MAX_ORACLE_VARS = 20
 
 
 class GuardExceeded(RuntimeError):
@@ -85,8 +86,8 @@ def _boundary_rank(upper, lower) -> int:
     return _gf2_rank(rows)
 
 
-def _homology_dims(faces_by_size) -> dict[int, int]:
-    """Reduced homology dimensions keyed by chain degree (face size minus one).
+def _homology_dims(faces_by_size) -> tuple[dict[int, int], int]:
+    """Reduced homology dimensions keyed by chain degree (face size minus one), and the rank calls made.
 
     The empty face sits in degree -1, so a restriction whose complex is just
     {empty} reports one dimension there; that is what makes the sweep put the
@@ -94,15 +95,17 @@ def _homology_dims(faces_by_size) -> dict[int, int]:
     """
     top = len(faces_by_size) - 1
     ranks = [0] * (top + 2)
+    calls = 0
     for s in range(1, top + 1):
         if faces_by_size[s] and faces_by_size[s - 1]:
             ranks[s] = _boundary_rank(faces_by_size[s], faces_by_size[s - 1])
+            calls += 1
     dims = {}
     for s in range(top + 1):
         h = len(faces_by_size[s]) - ranks[s] - ranks[s + 1]
         if h:
             dims[s - 1] = h
-    return dims
+    return dims, calls
 
 
 def _bits(mask: int) -> list[int]:
@@ -168,7 +171,7 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     if mask.bit_count() > MAX_HOMOLOGY_VERTICES:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
-    dims = _homology_dims(_faces(gens, mask))
+    dims, _ = _homology_dims(_faces(gens, mask))
     return HomologyResult(tuple(sorted(dims.items())))
 
 
@@ -248,13 +251,18 @@ def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
     return cones, credits
 
 
-def _core_homology(args) -> list[tuple[int, dict[int, int]]]:
-    """Reduced homology of each core, from the global face list filtered to the core."""
+def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int]:
+    """Reduced homology of each core, from the global face list filtered to the core, and the rank calls made."""
     cores, faces_by_size = args
-    return [
-        (core, _homology_dims([[f for f in faces_by_size[s] if f & ~core == 0] for s in range(core.bit_count() + 1)]))
-        for core in cores
-    ]
+    out = []
+    rank_calls = 0
+    for core in cores:
+        dims, calls = _homology_dims(
+            [[f for f in faces_by_size[s] if f & ~core == 0] for s in range(core.bit_count() + 1)]
+        )
+        out.append((core, dims))
+        rank_calls += calls
+    return out, rank_calls
 
 
 _POOL = None  # (pid, threads, pool) of the last parallel sweep in this process
@@ -292,12 +300,14 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     Restrictions that are not unions of generator supports have a cone
     point and contribute nothing, so the sweep runs exactly over those
     unions (plus the empty restriction, which yields the (0,0,0) entry).
-    The counts are the restrictions, the cones among them and the distinct
-    cores; every other restriction reuses the homology of a core already
-    computed. With threads > 1 a pool first reduces one strided share of the
-    unions per worker, then computes one strided share of the distinct cores
-    per worker, so no core is computed twice and nothing depends on threads;
-    threads < 1 runs serially, as threads = 1 does.
+    The counts are the restrictions, the cones among them, the distinct
+    cores (every other restriction reuses the homology of a core already
+    computed), the faces of the global face list, and the boundary ranks
+    computed, summed over the workers. With threads > 1 a pool first reduces
+    one strided share of the unions per worker, then computes one strided
+    share of the distinct cores per worker, so no core is computed twice and
+    nothing depends on threads; threads < 1 runs serially, as threads = 1
+    does.
     """
     threads = max(1, threads)
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
@@ -307,8 +317,6 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     if used.bit_count() > MAX_ORACLE_VARS:
         raise GuardExceeded(f"{used.bit_count()} variables exceed the cap of {MAX_ORACLE_VARS}")
     sigmas = _support_unions(gens)
-    if len(sigmas) > MAX_RESTRICTIONS:
-        raise GuardExceeded(f"{len(sigmas)} restrictions exceed the cap of {MAX_RESTRICTIONS}")
     faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
     run = map if threads == 1 else _worker_pool(threads).map
@@ -329,13 +337,21 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     homologies = run(_core_homology, [(cores[i::threads], faces_by_size) for i in range(threads)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}
-    for part in homologies:
+    rank_calls = 0
+    for part, part_calls in homologies:
+        rank_calls += part_calls
         for core, dims in part:
             for (size, u), mult in credits[core].items():
                 for d, h in dims.items():
                     key = (size - d - 1, u, size - u)
                     counts[key] = counts.get(key, 0) + h * mult
-    work = {"restrictions": len(sigmas), "cones": cones, "cores": len(cores)}
+    work = {
+        "restrictions": len(sigmas),
+        "cones": cones,
+        "cores": len(cores),
+        "faces": sum(map(len, faces_by_size)),
+        "rank_calls": rank_calls,
+    }
     return BettiTable.from_dict(ideal.n, counts), work
 
 

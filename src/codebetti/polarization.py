@@ -78,6 +78,39 @@ def minimalize(monomials) -> list[SquarefreeMonomial]:
     return out
 
 
+def _first_divisor_pair(gens, n: int):
+    """The first pair (a, b) of sorted generators where a, at another position, divides b; None if minimal.
+
+    "First" is the order of a nested scan over a's position, then b's. A
+    proper divisor of b has lower degree, so it sorts before b. Each b
+    either looks up its 2^deg - 2 proper nonempty sub-supports among the
+    supports, or scans the generators of lower degree, whichever takes
+    fewer steps. A repeated support is found at its later copy.
+    """
+    masks = [g.support_mask(n) for g in gens]
+    first: dict[int, int] = {}  # support -> position of its first copy
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)
+    best = None
+    lower = 0  # the generators below this position have lower degree than b
+    for j, m in enumerate(masks):
+        deg = m.bit_count()
+        while masks[lower].bit_count() < deg:
+            lower += 1
+        divisors = [first[m]] if first[m] != j else []
+        if (1 << deg) - 2 <= lower:
+            s = (m - 1) & m
+            while s:
+                if s in first:
+                    divisors.append(first[s])
+                s = (s - 1) & m
+        else:
+            divisors += [k for k in range(lower) if masks[k] & ~m == 0][:1]
+        if divisors and (best is None or (min(divisors), j) < best):
+            best = (min(divisors), j)
+    return None if best is None else (gens[best[0]], gens[best[1]])
+
+
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """Squarefree monomial ideal in F2[x1..xn, y1..yn] given by minimal generators."""
@@ -95,10 +128,10 @@ class SquarefreeIdeal:
                 raise ValueError("the unit ideal is not representable")
             if g.xsupp & g.ysupp:
                 raise ValueError(f"generator {g.render()} is divisible by some x_i*y_i")
-        for a in self.gens:
-            for b in self.gens:
-                if a is not b and a.divides(b):
-                    raise ValueError(f"{a.render()} divides {b.render()}: generators are not minimal")
+        pair = _first_divisor_pair(self.gens, self.n)
+        if pair is not None:
+            a, b = pair
+            raise ValueError(f"{a.render()} divides {b.render()}: generators are not minimal")
 
     @property
     def is_zero(self) -> bool:

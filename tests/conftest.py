@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from codebetti import BettiTable, NeuralCode, PseudoMonomial, binom, mask_of, parse_code
+from codebetti import BettiTable, NeuralCode, PseudoMonomial, SquarefreeMonomial, binom, mask_of, parse_code
 from codebetti.oracle import _homology_dims
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
@@ -78,10 +78,34 @@ def sweep_betti_table(ideal):
         size = sigma.bit_count()
         restricted = [[f for f in faces_by_size[s] if f & ~sigma == 0] for s in range(size + 1)]
         u = (sigma & xmask).bit_count()
-        for d, h in _homology_dims(restricted).items():
+        for d, h in _homology_dims(restricted)[0].items():
             key = (size - d - 1, u, size - u)
             counts[key] = counts.get(key, 0) + h
     return BettiTable.from_dict(n, counts)
+
+
+def pairwise_generator_check(n, gens):
+    """Reference generator check by the all-pairs minimality loop, for cross-checks only.
+
+    Returns the message SquarefreeIdeal(n, gens) refuses the generators with,
+    or None if they are accepted. Positions are compared by identity, so a
+    generator passed twice as the same object slips through here; build each
+    generator afresh when comparing.
+    """
+    gens = sorted(gens, key=SquarefreeMonomial.sort_key)
+    width = (1 << n) - 1
+    for g in gens:
+        if g.xsupp & ~width or g.ysupp & ~width:
+            return f"generator {g.render()} uses variables beyond n={n}"
+        if g.xsupp == 0 and g.ysupp == 0:
+            return "the unit ideal is not representable"
+        if g.xsupp & g.ysupp:
+            return f"generator {g.render()} is divisible by some x_i*y_i"
+    for a in gens:
+        for b in gens:
+            if a is not b and a.divides(b):
+                return f"{a.render()} divides {b.render()}: generators are not minimal"
+    return None
 
 
 def grid_betti_closed(profile):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -519,6 +520,71 @@ def test_max_n_option_is_gone(worked_file, capsys):
         with pytest.raises(SystemExit):
             main(argv)
         assert argv[2] in capsys.readouterr().err
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """(parser, namespace) of every top-level parse from here on."""
+    seen = []
+    real = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        namespace = real(self, *args, **kwargs)
+        seen.append((self, namespace))
+        return namespace
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    return seen
+
+
+def test_main_calls_share_one_parser(worked_file, capsys, parses):
+    run(capsys, "cf", worked_file)
+    run(capsys, "validate", worked_file)
+    assert len(parses) == 2
+    assert parses[0][0] is parses[1][0] is cli.build_parser()
+
+
+def test_options_of_one_call_do_not_leak_into_the_next(worked_file, capsys, monkeypatch, parses):
+    real = cli.betti_table_oracle
+    threads_seen = []
+
+    def single_process(ideal, threads=1):
+        threads_seen.append(threads)
+        return real(ideal, threads=1)
+
+    monkeypatch.setattr(cli, "betti_table_oracle", single_process)
+    rc, _, _ = run(capsys, "betti", worked_file, "--method", "oracle", "--threads", "2")
+    assert rc == 0
+    rc, out, _ = run(capsys, "betti", worked_file, "--json")
+    assert rc == 0
+    assert threads_seen == [2, 1]
+    assert json.loads(out)["output"]["methods"] == ["formula", "oracle", "recursion"]
+    assert parses[1][1].method is None and parses[1][1].threads == 1
+
+    rc, with_order, _ = run(capsys, "pierced", worked_file, "--order", "1,4,2,3,5")
+    assert rc == 0 and "order 1,4,2,3,5" in with_order
+    rc, plain, _ = run(capsys, "pierced", worked_file)
+    assert rc == 0 and plain != with_order
+    assert parses[3][1].order is None and parses[3][1].certify is False
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["betti", "--threads", "x"],
+        ["pierced", "--bogus"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_error_leaves_the_next_call_working(worked_file, capsys, bad):
+    rc, before, _ = run(capsys, "pierced", worked_file, "--certify")
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*bad, worked_file] if bad else bad)
+    assert exc.value.code == 2
+    assert "usage: codebetti" in capsys.readouterr().err
+    assert run(capsys, "pierced", worked_file, "--certify") == (0, before, "")
 
 
 @pytest.mark.parametrize(

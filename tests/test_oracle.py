@@ -226,6 +226,11 @@ def test_oracle_counters_on_the_c11_instance():
     # whatever order the dominated vertices go in
     assert work["cones"] == 35_080
     assert work["cores"] < work["restrictions"] - work["cones"]
+    # the complex on the 17 used variables has 1,024 faces, the empty one
+    # included; each of the 168 nonempty cores collapses to points only, so it
+    # needs one boundary rank
+    assert work["faces"] == 1_024
+    assert work["rank_calls"] == 168
 
 
 def _general_ideal(seed):

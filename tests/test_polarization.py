@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from codebetti import (
     IdealParseError,
@@ -18,7 +18,7 @@ from codebetti import (
     polarized_ideal,
     random_pierced_code,
 )
-from conftest import code_of
+from conftest import code_of, pairwise_generator_check
 
 
 def test_polarize_examples():
@@ -74,6 +74,75 @@ def test_ideal_rejects_non_antichain():
 def test_ideal_rejects_xy_overlap():
     with pytest.raises(ValueError):
         SquarefreeIdeal(2, (SquarefreeMonomial(1, 1),))
+
+
+def _refusal(n, gens):
+    try:
+        SquarefreeIdeal(n, tuple(gens))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def st_generators(draw):
+    """n in 1..8 and fresh generators of degree 1..6, each split into an x part and a y part."""
+    n = draw(st.integers(1, 8))
+    gens = []
+    for _ in range(draw(st.integers(0, 12))):
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(6, n)))
+        ys = draw(st.sets(st.sampled_from(sorted(support))))
+        gens.append(SquarefreeMonomial(mask_of(i + 1 for i in support - ys), mask_of(i + 1 for i in ys)))
+    return n, gens
+
+
+@given(st_generators())
+@settings(max_examples=300)
+def test_minimality_check_matches_the_pairwise_loop(drawn):
+    n, gens = drawn
+    assert _refusal(n, gens) == pairwise_generator_check(n, gens)
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        # a repeated generator divides its copy
+        ([(1, 2), (1, 2)], "x1*y2 divides x1*y2: generators are not minimal"),
+        # degree 5 against one generator below it: the lower generators are scanned
+        ([(0b00111, 0b11000), (1, 0)], "x1 divides x1*x2*x3*y4*y5: generators are not minimal"),
+        # degree 2 against three generators below it: its two sub-supports are looked up
+        ([(2, 0), (4, 0), (0b1001, 0), (1, 0)], "x1 divides x1*x4: generators are not minimal"),
+        # the first divisor in generator order is named, though x2 divides an earlier multiple
+        ([(0b0110, 0), (0b1001, 0), (1, 0), (2, 0)], "x1 divides x1*x4: generators are not minimal"),
+        ([(32, 0)], "generator x6 uses variables beyond n=5"),
+        ([(1, 0), (0, 0)], "the unit ideal is not representable"),
+        ([(1, 1)], "generator x1*y1 is divisible by some x_i*y_i"),
+    ],
+)
+def test_minimality_check_refusals(gens, message):
+    monos = [SquarefreeMonomial(x, y) for x, y in gens]
+    assert _refusal(5, monos) == message == pairwise_generator_check(5, monos)
+
+
+def test_minimality_check_refuses_one_object_passed_twice():
+    # the all-pairs loop compared positions by identity and accepted this
+    g = SquarefreeMonomial(1, 2)
+    assert _refusal(2, [g, g]) == "x1*y2 divides x1*y2: generators are not minimal"
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_ideal_without_generators(n):
+    assert SquarefreeIdeal(n, ()).is_zero
+
+
+def test_minimality_check_on_a_sixteen_neuron_code():
+    order, code = random_pierced_code(16, kmax=1, seed=3)
+    cf = canonical_form(code)
+    gens = [polarize(f) for f in cf]
+    assert pairwise_generator_check(16, gens) is None
+    ideal = polarized_ideal(cf, 16)
+    assert ideal.gens == tuple(sorted(gens, key=SquarefreeMonomial.sort_key))
+    assert ideal == ideal_from_steps(order.steps)
 
 
 def normalized(n):
