@@ -571,9 +571,9 @@ def test_options_of_one_call_do_not_leak_into_the_next(worked_file, capsys, monk
 @pytest.mark.parametrize(
     "bad",
     [
-        ["betti", "--threads", "x"],
-        ["pierced", "--bogus"],
-        ["bogus"],
+        ["betti", "CODEFILE", "--threads", "x"],
+        ["pierced", "CODEFILE", "--bogus"],
+        ["bogus", "CODEFILE"],
         [],
     ],
 )
@@ -581,7 +581,7 @@ def test_usage_error_leaves_the_next_call_working(worked_file, capsys, bad):
     rc, before, _ = run(capsys, "pierced", worked_file, "--certify")
     assert rc == 0
     with pytest.raises(SystemExit) as exc:
-        main([*bad, worked_file] if bad else bad)
+        main([worked_file if tok == "CODEFILE" else tok for tok in bad])
     assert exc.value.code == 2
     assert "usage: codebetti" in capsys.readouterr().err
     assert run(capsys, "pierced", worked_file, "--certify") == (0, before, "")
