@@ -328,11 +328,11 @@ def cmd_generate(args, report: RunReport) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call and shared by every later `main` call.
 
-    Building it takes about 1.5 ms, as long as a whole pierced-chain command.
-    Reuse is safe: parsing keeps no state in the parser, no option has a
-    mutable default, and each subcommand's `func` default is a fixed `cmd_*`
-    function. It is not built at import, so an import that never parses
-    pays nothing.
+    Building it costs about as much as parsing and running a small command,
+    so `main` reuses one parser per process. Reuse is safe: parsing keeps no
+    state in the parser, no option has a mutable default, and each
+    subcommand's `func` default is a fixed `cmd_*` function. It is not built
+    at import, so an import that never parses pays nothing.
     """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON run report")

@@ -82,10 +82,9 @@ def _first_divisor_pair(gens, n: int):
     """The first pair (a, b) of sorted generators where a, at another position, divides b; None if minimal.
 
     "First" is the order of a nested scan over a's position, then b's. A
-    proper divisor of b has lower degree, so it sorts before b. Each b
-    either looks up its 2^deg - 2 proper nonempty sub-supports among the
-    supports, or scans the generators of lower degree, whichever takes
-    fewer steps. A repeated support is found at its later copy.
+    proper divisor of b has lower degree, so it sorts before b: each b scans
+    only the generators of lower degree, up to the first that divides it,
+    and a repeated support is found at its later copy by a dict lookup.
     """
     masks = [g.support_mask(n) for g in gens]
     first: dict[int, int] = {}  # support -> position of its first copy
@@ -97,17 +96,11 @@ def _first_divisor_pair(gens, n: int):
         deg = m.bit_count()
         while masks[lower].bit_count() < deg:
             lower += 1
-        divisors = [first[m]] if first[m] != j else []
-        if (1 << deg) - 2 <= lower:
-            s = (m - 1) & m
-            while s:
-                if s in first:
-                    divisors.append(first[s])
-                s = (s - 1) & m
-        else:
-            divisors += [k for k in range(lower) if masks[k] & ~m == 0][:1]
-        if divisors and (best is None or (min(divisors), j) < best):
-            best = (min(divisors), j)
+        a = next((k for k in range(lower) if masks[k] & ~m == 0), None)
+        if a is None and first[m] != j:
+            a = first[m]
+        if a is not None and (best is None or (a, j) < best):
+            best = (a, j)
     return None if best is None else (gens[best[0]], gens[best[1]])
 
 

@@ -108,9 +108,9 @@ def test_minimality_check_matches_the_pairwise_loop(drawn):
     [
         # a repeated generator divides its copy
         ([(1, 2), (1, 2)], "x1*y2 divides x1*y2: generators are not minimal"),
-        # degree 5 against one generator below it: the lower generators are scanned
+        # degree 5 against one generator below it
         ([(0b00111, 0b11000), (1, 0)], "x1 divides x1*x2*x3*y4*y5: generators are not minimal"),
-        # degree 2 against three generators below it: its two sub-supports are looked up
+        # degree 2 against three generators below it
         ([(2, 0), (4, 0), (0b1001, 0), (1, 0)], "x1 divides x1*x4: generators are not minimal"),
         # the first divisor in generator order is named, though x2 divides an earlier multiple
         ([(0b0110, 0), (0b1001, 0), (1, 0), (2, 0)], "x1 divides x1*x4: generators are not minimal"),
