@@ -21,6 +21,14 @@ complex with the same homology:
 - Otherwise the homology of what is left, the core, is computed once per
   core mask by bit-packed Gaussian elimination, and credited at the
   original sigma's degrees.
+- The sweep builds each face's boundary row once, over the positions of
+  the global faces one size smaller. A face inside a core has its whole
+  boundary inside it, so every core picks its faces by position and
+  eliminates these shared rows.
+- Ranks go from the top face size down with clearing (Chen and Kerber,
+  *Persistent homology computation with a twist*, EuroCG 2011): a face
+  that leads a reduced row one size up has a row that reduces to zero, so
+  it is skipped.
 
 The plain sweep, which computes every restriction in full, is kept as the
 reference `sweep_betti_table` in tests/conftest.py.
@@ -55,57 +63,85 @@ class HypothesisViolation(ValueError):
     """The code falls outside the hypotheses of the regularity characterization."""
 
 
-def _gf2_rank(rows) -> int:
-    """Rank over F2; rows are int bitmasks, eliminated against stored pivots."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for row in rows:
-        while row:
-            msb = row.bit_length() - 1
-            piv = pivots.get(msb)
-            if piv is None:
-                pivots[msb] = row
-                rank += 1
-                break
-            row ^= piv
-    return rank
+def _boundary_rows(faces_by_size) -> list[list[int]]:
+    """Per face size s, each s-face's boundary as a bitmask over the positions of the (s-1)-faces."""
+    rows = [[0] * len(faces_by_size[0])]  # the empty face has no boundary
+    for s in range(1, len(faces_by_size)):
+        index = {f: i for i, f in enumerate(faces_by_size[s - 1])}
+        level = []
+        for f in faces_by_size[s]:
+            row = 0
+            m = f
+            while m:
+                b = m & -m
+                row |= 1 << index[f ^ b]
+                m ^= b
+            level.append(row)
+        rows.append(level)
+    return rows
 
 
-def _boundary_rank(upper, lower) -> int:
-    """Rank of the boundary map from size-s faces to size-(s-1) faces."""
-    index = {f: i for i, f in enumerate(lower)}
-    rows = []
-    for f in upper:
-        row = 0
-        m = f
-        while m:
-            b = m & -m
-            row |= 1 << index[f ^ b]
-            m ^= b
-        rows.append(row)
-    return _gf2_rank(rows)
+def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
+    """Reduced homology dimensions of a subcomplex keyed by chain degree (face size minus one), the rank calls and the rows reduced.
 
-
-def _homology_dims(faces_by_size) -> tuple[dict[int, int], int]:
-    """Reduced homology dimensions keyed by chain degree (face size minus one), and the rank calls made.
+    rows are the boundary rows of a complex by face size (`_boundary_rows`);
+    picked[s] is a bitmask over the positions of the subcomplex's s-faces,
+    whose boundaries lie in the subcomplex. Ranks are taken over F2 from the
+    top size down, with clearing: an s-face that is the leading face (msb)
+    of a reduced (s+1)-row leads a boundary, which is a cycle, so its own row
+    is a sum of the rows at lower positions. Dropping such rows, highest
+    first, never changes the span, so they are skipped and the rank stays.
 
     The empty face sits in degree -1, so a restriction whose complex is just
     {empty} reports one dimension there; that is what makes the sweep put the
     single w=0 table entry at multidegree (0, 0) with no special casing.
     """
-    top = len(faces_by_size) - 1
+    top = len(picked) - 1
     ranks = [0] * (top + 2)
-    calls = 0
-    for s in range(1, top + 1):
-        if faces_by_size[s] and faces_by_size[s - 1]:
-            ranks[s] = _boundary_rank(faces_by_size[s], faces_by_size[s - 1])
+    calls = reduced = 0
+    cleared = 0  # positions of the s-faces that led a reduced (s+1)-row
+    for s in range(top, 0, -1):
+        pivots: dict[int, int] = {}
+        leads = 0
+        if picked[s] and picked[s - 1]:
             calls += 1
+            level = rows[s]
+            todo = picked[s] & ~cleared
+            reduced += todo.bit_count()
+            while todo:
+                b = todo & -todo
+                todo ^= b
+                row = level[b.bit_length() - 1]
+                while row:
+                    msb = row.bit_length() - 1
+                    piv = pivots.get(msb)
+                    if piv is None:
+                        pivots[msb] = row
+                        leads |= 1 << msb
+                        break
+                    row ^= piv
+        ranks[s] = len(pivots)
+        cleared = leads
     dims = {}
     for s in range(top + 1):
-        h = len(faces_by_size[s]) - ranks[s] - ranks[s + 1]
+        h = picked[s].bit_count() - ranks[s] - ranks[s + 1]
         if h:
             dims[s - 1] = h
-    return dims, calls
+    return dims, calls, reduced
+
+
+def _avoiding(faces_by_size, used: int) -> dict[int, list[int]]:
+    """Per vertex bit v of used, per face size, a bitmask over the positions of the faces without v."""
+    width = used.bit_length()
+    out: dict[int, list[int]] = {v: [] for v in _bits(used)}
+    for fs in faces_by_size:
+        # column j of the faces' binary strings, last face first, marks the
+        # faces holding vertex bit width-1-j
+        columns = list(zip(*(format(f, f"0{width}b") for f in reversed(fs))))
+        everything = (1 << len(fs)) - 1
+        for v, masks in out.items():
+            masks.append(everything ^ int("".join(columns[width - v.bit_length()]), 2) if fs else 0)
+    return out
 
 
 def _bits(mask: int) -> list[int]:
@@ -171,7 +207,8 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     if mask.bit_count() > MAX_HOMOLOGY_VERTICES:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
-    dims, _ = _homology_dims(_faces(gens, mask))
+    faces_by_size = _faces(gens, mask)
+    dims = _homology_dims(_boundary_rows(faces_by_size), [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return HomologyResult(tuple(sorted(dims.items())))
 
 
@@ -251,18 +288,27 @@ def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
     return cones, credits
 
 
-def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int]:
-    """Reduced homology of each core, from the global face list filtered to the core, and the rank calls made."""
-    cores, faces_by_size = args
+def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
+    """Reduced homology of each core from the sweep's shared boundary rows, with the rank calls made and rows reduced.
+
+    A face lies in the core iff it avoids every used vertex outside it, so
+    the core's faces are picked by and-ing the avoiding masks of those
+    vertices, size by size.
+    """
+    cores, rows, avoiding = args
+    everything = [(1 << len(level)) - 1 for level in rows]
     out = []
-    rank_calls = 0
+    rank_calls = reduced = 0
     for core in cores:
-        dims, calls = _homology_dims(
-            [[f for f in faces_by_size[s] if f & ~core == 0] for s in range(core.bit_count() + 1)]
-        )
+        picked = everything[: core.bit_count() + 1]
+        for v, masks in avoiding.items():
+            if not v & core:
+                picked = [p & m for p, m in zip(picked, masks)]
+        dims, calls, part = _homology_dims(rows, picked)
         out.append((core, dims))
         rank_calls += calls
-    return out, rank_calls
+        reduced += part
+    return out, rank_calls, reduced
 
 
 _POOL = None  # (pid, threads, pool) of the last parallel sweep in this process
@@ -302,8 +348,9 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     unions (plus the empty restriction, which yields the (0,0,0) entry).
     The counts are the restrictions, the cones among them, the distinct
     cores (every other restriction reuses the homology of a core already
-    computed), the faces of the global face list, and the boundary ranks
-    computed, summed over the workers. With threads > 1 a pool first reduces
+    computed), the faces of the global face list, the boundary ranks
+    computed and the rows those ranks reduced after clearing, the last two
+    summed over the workers. With threads > 1 a pool first reduces
     one strided share of the unions per worker, then computes one strided
     share of the distinct cores per worker, so no core is computed twice and
     nothing depends on threads; threads < 1 runs serially, as threads = 1
@@ -332,14 +379,18 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
             for key, mult in keys.items():
                 at[key] = at.get(key, 0) + mult
     # the cores' homology is most of the work on non-quadratic ideals, so it
-    # is split over the pool too
+    # is split over the pool too; every worker gets the one set of boundary
+    # rows and avoiding masks built here
     cores = sorted(credits, key=lambda c: (c.bit_count(), c))
-    homologies = run(_core_homology, [(cores[i::threads], faces_by_size) for i in range(threads)])
+    held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
+    shared = (_boundary_rows(held), _avoiding(held, used))
+    homologies = run(_core_homology, [(cores[i::threads], *shared) for i in range(threads)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}
-    rank_calls = 0
-    for part, part_calls in homologies:
+    rank_calls = reduced = 0
+    for part, part_calls, part_rows in homologies:
         rank_calls += part_calls
+        reduced += part_rows
         for core, dims in part:
             for (size, u), mult in credits[core].items():
                 for d, h in dims.items():
@@ -351,6 +402,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
         "cores": len(cores),
         "faces": sum(map(len, faces_by_size)),
         "rank_calls": rank_calls,
+        "rows": reduced,
     }
     return BettiTable.from_dict(ideal.n, counts), work
 

@@ -69,11 +69,20 @@ def depolarize(m: SquarefreeMonomial) -> PseudoMonomial:
 
 
 def minimalize(monomials) -> list[SquarefreeMonomial]:
-    """Drop duplicates and every monomial divisible by another one."""
+    """Drop duplicates and every monomial divisible by another one.
+
+    Once duplicates are gone, a proper divisor has lower degree and sorts
+    first, so each monomial is compared only with the kept ones of lower
+    degree.
+    """
     uniq = sorted(set(monomials), key=SquarefreeMonomial.sort_key)
     out: list[SquarefreeMonomial] = []
+    lower = 0  # the kept monomials below this position have lower degree than m
     for m in uniq:
-        if not any(o.divides(m) for o in out):
+        deg = m.degree
+        while lower < len(out) and out[lower].degree < deg:
+            lower += 1
+        if not any(out[k].divides(m) for k in range(lower)):
             out.append(m)
     return out
 

@@ -3,7 +3,6 @@ from itertools import combinations
 import pytest
 
 from codebetti import BettiTable, NeuralCode, PseudoMonomial, SquarefreeMonomial, binom, mask_of, parse_code
-from codebetti.oracle import _homology_dims
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -48,13 +47,76 @@ def sweep_canonical_form(code):
     return tuple(found)
 
 
+def plain_gf2_rank(rows):
+    """Reference rank over F2 of int-bitmask rows, every row fully reduced, for cross-checks only."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        while row:
+            msb = row.bit_length() - 1
+            piv = pivots.get(msb)
+            if piv is None:
+                pivots[msb] = row
+                rank += 1
+                break
+            row ^= piv
+    return rank
+
+
+def plain_boundary_rank(upper, lower):
+    """Reference rank of the boundary map from the faces in upper to those in lower, one size smaller."""
+    index = {f: i for i, f in enumerate(lower)}
+    rows = []
+    for f in upper:
+        row = 0
+        m = f
+        while m:
+            b = m & -m
+            row |= 1 << index[f ^ b]
+            m ^= b
+        rows.append(row)
+    return plain_gf2_rank(rows)
+
+
+def plain_homology_dims(faces_by_size):
+    """Reference reduced homology dimensions keyed by chain degree, by a plain rank per face size.
+
+    No clearing and no shared rows: each boundary map gets its own rows,
+    built from the faces, and every row is reduced.
+    """
+    top = len(faces_by_size) - 1
+    ranks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        if faces_by_size[s] and faces_by_size[s - 1]:
+            ranks[s] = plain_boundary_rank(faces_by_size[s], faces_by_size[s - 1])
+    dims = {}
+    for s in range(top + 1):
+        h = len(faces_by_size[s]) - ranks[s] - ranks[s + 1]
+        if h:
+            dims[s - 1] = h
+    return dims
+
+
+def plain_faces(gens, within):
+    """Reference faces of the complex restricted to within, by size, found by testing every subset."""
+    faces_by_size = [[] for _ in range(within.bit_count() + 1)]
+    sub = within
+    while True:
+        if not any(g & ~sub == 0 for g in gens):
+            faces_by_size[sub.bit_count()].append(sub)
+        if sub == 0:
+            break
+        sub = (sub - 1) & within
+    return faces_by_size
+
+
 def sweep_betti_table(ideal):
     """Reference Betti table by the plain restriction sweep, for cross-checks only.
 
     Every union sigma of generator supports gets its full restricted complex,
     with no collapse and no memo, from a face list found by testing every
-    subset of the used variables; Hochster's formula credits its homology at
-    sigma's degrees.
+    subset of the used variables; Hochster's formula credits its homology,
+    from `plain_homology_dims`, at sigma's degrees.
     """
     n = ideal.n
     gens = [g.support_mask(n) for g in ideal.gens]
@@ -64,24 +126,30 @@ def sweep_betti_table(ideal):
     unions = {0}
     for g in gens:
         unions |= {s | g for s in unions}
-    faces_by_size = [[] for _ in range(used.bit_count() + 1)]
-    sub = used
-    while True:
-        if not any(g & ~sub == 0 for g in gens):
-            faces_by_size[sub.bit_count()].append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & used
+    faces_by_size = plain_faces(gens, used)
     xmask = (1 << n) - 1
     counts = {}
     for sigma in unions:
         size = sigma.bit_count()
         restricted = [[f for f in faces_by_size[s] if f & ~sigma == 0] for s in range(size + 1)]
         u = (sigma & xmask).bit_count()
-        for d, h in _homology_dims(restricted)[0].items():
+        for d, h in plain_homology_dims(restricted).items():
             key = (size - d - 1, u, size - u)
             counts[key] = counts.get(key, 0) + h
     return BettiTable.from_dict(n, counts)
+
+
+def pairwise_minimalize(monomials):
+    """Reference minimal generating set by the all-pairs loop, for cross-checks only.
+
+    Each monomial, in sorted order, is compared with every one kept so far.
+    """
+    uniq = sorted(set(monomials), key=SquarefreeMonomial.sort_key)
+    out = []
+    for m in uniq:
+        if not any(o.divides(m) for o in out):
+            out.append(m)
+    return out
 
 
 def pairwise_generator_check(n, gens):

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from codebetti import (
     Graph,
@@ -31,7 +31,7 @@ from codebetti import (
     variable_mask,
 )
 from codebetti import oracle as oracle_module
-from conftest import code_of, sweep_betti_table
+from conftest import code_of, pairwise_minimalize, plain_faces, plain_homology_dims, sweep_betti_table
 
 
 def ideal(n, *gens):
@@ -217,6 +217,64 @@ def test_reduced_engine_matches_closed_form_beyond_the_plain_sweep(n):
     assert betti_table_oracle(ideal_r) == multigraded_betti_closed(piercing_profile(order))
 
 
+@st.composite
+def st_ideals(draw, non_quadratic=False):
+    """A squarefree ideal on n <= 6 neurons from generators of degree 1..4, made minimal."""
+    n = draw(st.integers(1, 6))
+    monos = []
+    for _ in range(draw(st.integers(1 if non_quadratic else 0, 8))):
+        support = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(4, n)))
+        ys = draw(st.sets(st.sampled_from(sorted(support))))
+        monos.append(SquarefreeMonomial(mask_of(i + 1 for i in support - ys), mask_of(i + 1 for i in ys)))
+    gens = pairwise_minimalize(monos)
+    if non_quadratic:
+        assume(any(g.degree != 2 for g in gens))
+    return SquarefreeIdeal(n, tuple(gens))
+
+
+@given(st_ideals(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_restricted_homology_matches_the_plain_rank(ideal_r, data):
+    sigma = data.draw(st.integers(0, (1 << (2 * ideal_r.n)) - 1))
+    gens = [g.support_mask(ideal_r.n) for g in ideal_r.gens]
+    plain = plain_homology_dims(plain_faces(gens, sigma))
+    assert restricted_homology(ideal_r, sigma).dims == tuple(sorted(plain.items()))
+
+
+@given(st_ideals(non_quadratic=True))
+@settings(max_examples=60, deadline=None)
+def test_reduced_engine_matches_plain_sweep_on_non_quadratic_ideals(ideal_r):
+    serial = oracle_sweep(ideal_r, threads=1)
+    assert oracle_sweep(ideal_r, threads=2) == serial
+    assert serial[0] == sweep_betti_table(ideal_r)
+
+
+def _cubic_ideal(n, count, seed):
+    # count distinct random cubic generators on the 2n variables, none divisible by x_i*y_i
+    rng = random.Random(seed)
+    masks = []
+    while len(masks) < count:
+        picked = rng.sample(range(2 * n), 3)
+        mask = sum(1 << v for v in picked)
+        if mask not in masks and not any(abs(a - b) == n for a in picked for b in picked):
+            masks.append(mask)
+    return SquarefreeIdeal(n, tuple(SquarefreeMonomial(m & ((1 << n) - 1), m >> n) for m in masks))
+
+
+def test_reduced_engine_on_a_face_heavy_ideal():
+    # 13,447 faces shared by 196 cores: clearing and the sweep's one set of
+    # boundary rows are exercised on large, deep complexes
+    ideal_h = _cubic_ideal(9, 8, seed=5)
+    serial = oracle_sweep(ideal_h, threads=1)
+    assert serial[1]["faces"] == 13_447
+    assert serial[1]["restrictions"] == serial[1]["cores"] == 196
+    # clearing skips half the rows: a plain rank reduces 178,188
+    assert serial[1]["rank_calls"] == 1_288
+    assert serial[1]["rows"] == 89_279
+    assert oracle_sweep(ideal_h, threads=2) == serial
+    assert serial[0] == sweep_betti_table(ideal_h)
+
+
 def test_oracle_counters_on_the_c11_instance():
     _, code = random_pierced_code(11, seed=3)
     ideal_c = polarized_ideal(canonical_form(code), code.n)
@@ -228,9 +286,11 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["cores"] < work["restrictions"] - work["cones"]
     # the complex on the 17 used variables has 1,024 faces, the empty one
     # included; each of the 168 nonempty cores collapses to points only, so it
-    # needs one boundary rank
+    # needs one boundary rank, whose rows are its vertices: with no 2-faces
+    # nothing is cleared, and the cores have 511 vertices in all
     assert work["faces"] == 1_024
     assert work["rank_calls"] == 168
+    assert work["rows"] == 511
 
 
 def _general_ideal(seed):

@@ -18,7 +18,8 @@ from codebetti import (
     polarized_ideal,
     random_pierced_code,
 )
-from conftest import code_of, pairwise_generator_check
+from codebetti.polarization import minimalize
+from conftest import code_of, pairwise_generator_check, pairwise_minimalize
 
 
 def test_polarize_examples():
@@ -235,6 +236,21 @@ def test_parse_ideal_roundtrip():
 def test_parse_ideal_reduces_redundant_generators():
     ideal = parse_ideal("x1\nx1*x2\n")
     assert ideal.render() == "x1"
+
+
+@given(st_generators())
+@settings(max_examples=300)
+def test_minimalize_matches_the_pairwise_loop(drawn):
+    # the draws repeat and divide one another; two copies are appended as well
+    _, monos = drawn
+    monos = monos + [SquarefreeMonomial(m.xsupp, m.ysupp) for m in monos[:2]]
+    assert minimalize(monos) == pairwise_minimalize(monos)
+
+
+def test_minimalize_drops_multiples_of_lower_degrees():
+    monos = [SquarefreeMonomial(x, 0) for x in (0b1110, 0b0011, 0b0100, 0b0110, 0b1000, 0b0011)]
+    # x3 goes first and takes x2*x3 and x2*x3*x4 with it; x1*x2 and x4 stay
+    assert [m.render() for m in minimalize(monos)] == ["x3", "x4", "x1*x2"]
 
 
 def test_step_validation():
