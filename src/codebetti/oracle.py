@@ -132,16 +132,10 @@ def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
 
 def _avoiding(faces_by_size, used: int) -> dict[int, list[int]]:
     """Per vertex bit v of used, per face size, a bitmask over the positions of the faces without v."""
-    width = used.bit_length()
-    out: dict[int, list[int]] = {v: [] for v in _bits(used)}
-    for fs in faces_by_size:
-        # column j of the faces' binary strings, last face first, marks the
-        # faces holding vertex bit width-1-j
-        columns = list(zip(*(format(f, f"0{width}b") for f in reversed(fs))))
-        everything = (1 << len(fs)) - 1
-        for v, masks in out.items():
-            masks.append(everything ^ int("".join(columns[width - v.bit_length()]), 2) if fs else 0)
-    return out
+    return {
+        v: [int("".join("0" if f & v else "1" for f in reversed(fs)) or "0", 2) for fs in faces_by_size]
+        for v in _bits(used)
+    }
 
 
 def _bits(mask: int) -> list[int]:
