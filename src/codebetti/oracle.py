@@ -82,9 +82,10 @@ def _boundary_rows(faces_by_size) -> list[list[int]]:
 
 
 def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
-    """Reduced homology dimensions of a subcomplex keyed by chain degree (face size minus one), the rank calls and the rows reduced.
+    """Reduced homology dimensions of a subcomplex, the rank calls made and the rows reduced.
 
-    rows are the boundary rows of a complex by face size (`_boundary_rows`);
+    Dimensions are keyed by chain degree (face size minus one). rows are
+    the boundary rows of a complex by face size (`_boundary_rows`);
     picked[s] is a bitmask over the positions of the subcomplex's s-faces,
     whose boundaries lie in the subcomplex. Ranks are taken over F2 from the
     top size down, with clearing: an s-face that is the leading face (msb)
@@ -283,7 +284,7 @@ def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
 
 
 def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
-    """Reduced homology of each core from the sweep's shared boundary rows, with the rank calls made and rows reduced.
+    """Reduced homology of each core from the shared boundary rows, with the rank calls made and rows reduced.
 
     A face lies in the core iff it avoids every used vertex outside it, so
     the core's faces are picked by and-ing the avoiding masks of those
