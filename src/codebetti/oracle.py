@@ -4,8 +4,15 @@ This is the independent cross-check for every closed formula in the
 library. By Hochster's formula, beta_{i,sigma}(S/J) is the reduced homology
 of the Stanley-Reisner complex restricted to sigma, in degree |sigma|-i-1;
 only unions sigma of generator supports can contribute. The sweep never
-reads the formulas or the recursion. For each union it works on a smaller
-complex with the same homology:
+reads the formulas or the recursion.
+
+The sweep first renumbers the used variables 0..u-1 in their order, so a
+subset of them is an index below 2^u. The unions of supports are then one
+bitset over those 2^u subsets, grown by one shift-and-or per vertex of each
+generator. The pool's workers get it as one 0/1 byte per subset and pick out
+their own unions, each worker one contiguous range of subsets that holds an
+equal share of them. For each union the sweep works on a smaller complex
+with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
   by w when every facet through v also holds w; deleting v is then a strong
@@ -15,7 +22,9 @@ complex with the same homology:
   inside sigma, (g - w) + v contains a generator. For an edge ideal that is
   Engström's rule: v and w are not adjacent and N(w) lies in N(v)
   (*Complexes of directed trees and independence complexes*, Discrete
-  Math. 2009).
+  Math. 2009). Which generators through w lie inside sigma depends only on
+  sigma & reach(w), the union of those generators, so each worker keeps,
+  per vertex w and per such key, what w dominates.
 - A vertex left in no generator is a cone point: the homology is zero and
   the union is skipped.
 - Otherwise the homology of what is left, the core, is computed once per
@@ -31,15 +40,19 @@ complex with the same homology:
   it is skipped.
 
 The plain sweep, which computes every restriction in full, is kept as the
-reference `sweep_betti_table` in tests/conftest.py.
+reference `sweep_betti_table` in tests/conftest.py, next to the set closure
+of the unions (`set_support_unions`) and the memo-free reduction
+(`plain_core`, `plain_reduce`).
 """
 
 from __future__ import annotations
 
 import atexit
+import bisect
 import multiprocessing
 import os
 from dataclasses import dataclass
+from itertools import compress
 
 from .betti import BettiTable
 from .codes import NeuralCode, validate_code
@@ -53,6 +66,10 @@ MAX_HOMOLOGY_VERTICES = 24  # restricted_homology: vertices of one restriction
 # betti_table_oracle: distinct variables in the generators; this also bounds the
 # restrictions swept, as 20 variables have at most 2^20 unions of supports
 MAX_ORACLE_VARS = 20
+# oracle_sweep and restricted_homology: bits of the dense boundary rows,
+# sum over s of |F_s| * |F_(s-1)|; 2^30 bits (128 MiB) admit the 16-vertex
+# full simplex
+MAX_ROW_BITS = 1 << 30
 
 
 class GuardExceeded(RuntimeError):
@@ -61,6 +78,13 @@ class GuardExceeded(RuntimeError):
 
 class HypothesisViolation(ValueError):
     """The code falls outside the hypotheses of the regularity characterization."""
+
+
+def _check_row_bits(faces_by_size) -> None:
+    """Refuse a face list whose boundary rows would exceed MAX_ROW_BITS, before they are built."""
+    bits = sum(len(upper) * len(lower) for upper, lower in zip(faces_by_size[1:], faces_by_size))
+    if bits > MAX_ROW_BITS:
+        raise GuardExceeded(f"boundary rows of {bits} bits exceed the cap of {MAX_ROW_BITS}")
 
 
 def _boundary_rows(faces_by_size) -> list[list[int]]:
@@ -203,28 +227,77 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     faces_by_size = _faces(gens, mask)
+    _check_row_bits(faces_by_size)
     dims = _homology_dims(_boundary_rows(faces_by_size), [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return HomologyResult(tuple(sorted(dims.items())))
 
 
-def _support_unions(gens) -> list[int]:
-    # in increasing mask order the closure stays within the low vertices for
-    # longer, which keeps the intermediate sets small
-    closure = {0}
-    for g in sorted(gens):
-        closure.update([s | g for s in closure if g & ~s])
-    return sorted(closure)
+def _renumbered(mask: int, places: list[int]) -> int:
+    """mask over the one-bit masks in places, as a mask over their positions 0..len(places)-1."""
+    out = 0
+    for i, b in enumerate(places):
+        if mask & b:
+            out |= 1 << i
+    return out
 
 
-def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
-    """Per vertex bit w, the pairs (g, B) for the generators g through w.
+def _support_unions(gens, u: int) -> int:
+    """The unions of generator supports on vertices 0..u-1, as a bitset over the 2^u subsets: bit s is set iff s is one.
 
-    B holds the vertices v for which (g - w) + v contains a generator. v is
-    dominated by w inside sigma iff v lies in B for every such g inside
-    sigma. For an edge g = {w, x}, B is the neighbourhood of x.
+    Each generator g maps the unions so far to their images s | g, one
+    vertex v of g at a time: a subset that lacks v moves up by v (v + s =
+    v | s), one that holds v stays. The closure gains the images.
     """
-    table: dict[int, list[tuple[int, int]]] = {b: [] for b in _bits(used)}
-    through = {b: [h for h in gens if h & b] for b in table}
+    full = 1 << u
+    closure = 1  # the empty union
+    holding: dict[int, int] = {}  # per vertex bit v, the subsets that hold v
+    for g in gens:
+        image = closure
+        for v in _bits(g):
+            held = holding.get(v)
+            if held is None:
+                held = ((1 << v) - 1) << v  # one period, 2v subsets long
+                width = 2 * v
+                while width < full:
+                    held |= held << width
+                    width *= 2
+                holding[v] = held
+            stay = image & held
+            image = stay | (image ^ stay) << v
+        closure |= image
+    return closure
+
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits as 0/1 bytes
+
+
+def _shares(closure: int, parts: int) -> list[int]:
+    """Cut points splitting the subsets into parts ranges that each hold about as many unions.
+
+    Range i is cuts[i]..cuts[i+1]-1. Contiguous ranges let each worker
+    pick its unions out of its own slice of the flags; split by a residue
+    of the subset, the shares could be 2:1 apart.
+    """
+    total = closure.bit_count()
+    end = closure.bit_length()
+    cuts = [0]
+    for i in range(1, parts):
+        # the unions below p are total minus those at p and above
+        cuts.append(bisect.bisect_left(range(end), total * i // parts, key=lambda p: total - (closure >> p).bit_count()))
+    cuts.append(end)
+    return cuts
+
+
+def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, int]]]]:
+    """Per vertex bit w, its reach and the pairs (g, B) for the generators g through w.
+
+    The reach is the union of the generators through w. B holds the
+    vertices v for which (g - w) + v contains a generator. v is dominated
+    by w inside sigma iff v lies in B for every such g inside sigma. For an
+    edge g = {w, x}, B is the neighbourhood of x.
+    """
+    pairs: dict[int, list[tuple[int, int]]] = {b: [] for b in _bits(used)}
+    through = {b: [h for h in gens if h & b] for b in pairs}
     for g in gens:
         for w in _bits(g):
             rest = g ^ w
@@ -235,45 +308,70 @@ def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
                 probe = rest | v
                 if any(h & ~probe == 0 for h in hs):
                     dominated |= v
-            table[w].append((g, dominated))
+            pairs[w].append((g, dominated))
+    table = {}
+    for w, ps in pairs.items():
+        reach = 0
+        for g, _ in ps:
+            reach |= g
+        table[w] = (reach, ps)
     return table
 
 
-def _core(sigma: int, table) -> int | None:
+_CONE = -1  # memo value: no generator through w lies inside sigma
+
+
+def _core(sigma: int, memo) -> int | None:
     """The vertices left after deleting dominated vertices from sigma, or None for a cone.
 
     Whatever w dominates stays dominated by w after other deletions, so all
-    of it goes at once. Passes repeat until one deletes nothing.
+    of it goes at once. Passes go up from the lowest vertex and repeat until
+    one deletes nothing. What w dominates is sigma and a mask that depends
+    on sigma only through key = sigma & reach(w), which tells the
+    generators through w inside sigma. memo[w] is (reach(w), the pairs of w
+    in the domination table, a dict from key to that mask without w, or
+    to _CONE).
     """
     changed = True
     while changed:
         changed = False
-        for w in _bits(sigma):
-            if not sigma & w:
-                continue
-            dominated = sigma
-            inside = False
-            for g, b in table[w]:
-                if g & ~sigma == 0:
-                    inside = True
-                    dominated &= b
-            if not inside:
+        todo = sigma
+        while todo:
+            w = todo & -todo
+            todo ^= w
+            reach, pairs, seen = memo[w]
+            key = sigma & reach
+            dominated = seen.get(key)
+            if dominated is None:
+                dominated = _CONE
+                for g, b in pairs:
+                    if g & ~key == 0:
+                        dominated &= b
+                if dominated != _CONE:
+                    dominated &= ~w
+                seen[key] = dominated
+            if dominated == _CONE:
                 return None
-            dominated &= ~w
-            if dominated:
+            if dominated & sigma:
                 sigma &= ~dominated
+                todo &= sigma
                 changed = True
     return sigma
 
 
 def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
-    """Cones skipped, and per core how many restrictions of each (|sigma|, x-degree) reduce to it."""
-    n, sigmas, table = args
-    xmask = (1 << n) - 1
+    """Cones skipped, and per core how many restrictions of each (|sigma|, x-degree) reduce to it.
+
+    The chunk's unions are the subsets start + i whose flags[i] is 1; the
+    x variables are the vertices in xmask. The domination memo lives for
+    the one chunk.
+    """
+    xmask, start, flags, table = args
+    memo = {w: (reach, pairs, {}) for w, (reach, pairs) in table.items()}
     cones = 0
     credits: dict[int, dict[tuple[int, int], int]] = {}
-    for sigma in sigmas:
-        core = _core(sigma, table)
+    for sigma in compress(range(start, start + len(flags)), flags):
+        core = _core(sigma, memo)
         if core is None:
             cones += 1
             continue
@@ -345,11 +443,11 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     cores (every other restriction reuses the homology of a core already
     computed), the faces of the global face list, the boundary ranks
     computed and the rows those ranks reduced after clearing, the last two
-    summed over the workers. With threads > 1 a pool first reduces
-    one strided share of the unions per worker, then computes one strided
-    share of the distinct cores per worker, so no core is computed twice and
-    nothing depends on threads; threads < 1 runs serially, as threads = 1
-    does.
+    summed over the workers. With threads > 1 a pool first reduces the
+    unions, one contiguous range of subsets with an equal share of them per
+    worker, then computes one strided share of the distinct cores per
+    worker, so no core is computed twice and nothing depends on threads;
+    threads < 1 runs serially, as threads = 1 does.
     """
     threads = max(1, threads)
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
@@ -358,13 +456,22 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
         used |= g
     if used.bit_count() > MAX_ORACLE_VARS:
         raise GuardExceeded(f"{used.bit_count()} variables exceed the cap of {MAX_ORACLE_VARS}")
-    sigmas = _support_unions(gens)
+    # from here on the used variables are renumbered 0..u-1 in their order,
+    # which keeps every order below and makes each union a subset index
+    places = _bits(used)
+    gens = [_renumbered(g, places) for g in gens]
+    xmask = _renumbered((1 << ideal.n) - 1, places)
+    used = (1 << len(places)) - 1
+    closure = _support_unions(gens, len(places))
     faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
     run = map if threads == 1 else _worker_pool(threads).map
-    # one chunk per worker and phase: strided shares are balanced, and each
-    # further task would cost the pool a round trip
-    reduced = run(_reduce_chunk, [(ideal.n, sigmas[i::threads], table) for i in range(threads)])
+    # one chunk per worker and phase, as each further task would cost the
+    # pool a round trip; a worker gets its range's flags, 0 or 1 per subset,
+    # and picks out its own unions
+    flags = format(closure, "b")[::-1].encode().translate(_FLAGS)
+    cuts = _shares(closure, threads)
+    reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
     cones = 0
     credits: dict[int, dict[tuple[int, int], int]] = {}
     for part_cones, part in reduced:
@@ -378,6 +485,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     # rows and avoiding masks built here
     cores = sorted(credits, key=lambda c: (c.bit_count(), c))
     held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
+    _check_row_bits(held)
     shared = (_boundary_rows(held), _avoiding(held, used))
     homologies = run(_core_homology, [(cores[i::threads], *shared) for i in range(threads)])
     # every merge is a sum, so scheduling order cannot change the result
@@ -392,7 +500,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
                     key = (size - d - 1, u, size - u)
                     counts[key] = counts.get(key, 0) + h * mult
     work = {
-        "restrictions": len(sigmas),
+        "restrictions": closure.bit_count(),
         "cones": cones,
         "cores": len(cores),
         "faces": sum(map(len, faces_by_size)),

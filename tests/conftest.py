@@ -110,6 +110,56 @@ def plain_faces(gens, within):
     return faces_by_size
 
 
+def set_support_unions(gens):
+    """Reference unions of generator supports as a set, grown generator by generator, for cross-checks only."""
+    closure = {0}
+    for g in sorted(gens):
+        closure.update([s | g for s in closure if g & ~s])
+    return closure
+
+
+def plain_core(sigma, table):
+    """Reference core of sigma by deleting dominated vertices with no memo, or None for a cone.
+
+    table maps each vertex bit w to its pairs (g, B), as in the oracle's
+    domination table; the passes visit the vertices in the same order.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for w in [1 << i for i in range(sigma.bit_length()) if sigma >> i & 1]:
+            if not sigma & w:
+                continue
+            dominated = sigma
+            inside = False
+            for g, b in table[w]:
+                if g & ~sigma == 0:
+                    inside = True
+                    dominated &= b
+            if not inside:
+                return None
+            dominated &= ~w
+            if dominated:
+                sigma &= ~dominated
+                changed = True
+    return sigma
+
+
+def plain_reduce(xmask, sigmas, table):
+    """Reference (cones, credits) of a list of unions by `plain_core`, for cross-checks only."""
+    cones = 0
+    credits = {}
+    for sigma in sigmas:
+        core = plain_core(sigma, table)
+        if core is None:
+            cones += 1
+            continue
+        key = (sigma.bit_count(), (sigma & xmask).bit_count())
+        at = credits.setdefault(core, {})
+        at[key] = at.get(key, 0) + 1
+    return cones, credits
+
+
 def sweep_betti_table(ideal):
     """Reference Betti table by the plain restriction sweep, for cross-checks only.
 

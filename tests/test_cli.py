@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codebetti import BettiTable, cli
+from codebetti import BettiTable, cli, oracle
 from codebetti.cli import main
 from conftest import WORKED_LINES
 
@@ -477,6 +477,15 @@ def test_oracle_guard_exits_2_under_method_all(tmp_path, capsys):
     rc, out, err = run(capsys, "betti", str(p), "--method", "all")
     assert rc == 2 and out == ""
     assert "21 variables exceed the cap of 20" in err
+
+
+def test_row_bits_guard_exits_2_for_an_ideal(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "_boundary_rows", _refuse("_boundary_rows"))
+    p = tmp_path / "simplex.ideal"
+    p.write_text("*".join(f"x{i}" for i in range(1, 18)) + "\n")  # the boundary of a 16-simplex
+    rc, out, err = run(capsys, "betti", "--ideal", str(p))
+    assert rc == 2 and out == ""
+    assert "bits exceed the cap of 1073741824" in err
 
 
 @pytest.mark.parametrize("certify", [[], ["--certify"]])

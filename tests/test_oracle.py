@@ -1,5 +1,6 @@
 import os
 import random
+from math import comb
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,15 @@ from codebetti import (
     variable_mask,
 )
 from codebetti import oracle as oracle_module
-from conftest import code_of, pairwise_minimalize, plain_faces, plain_homology_dims, sweep_betti_table
+from conftest import (
+    code_of,
+    pairwise_minimalize,
+    plain_faces,
+    plain_homology_dims,
+    plain_reduce,
+    set_support_unions,
+    sweep_betti_table,
+)
 
 
 def ideal(n, *gens):
@@ -70,6 +79,42 @@ def test_restricted_homology_empty_restriction():
 def test_restricted_homology_guard():
     with pytest.raises(GuardExceeded):
         restricted_homology(SquarefreeIdeal(16, ()), (1 << 25) - 1)
+
+
+def _refuse_rows(faces_by_size):
+    raise AssertionError("the boundary rows must not be built for a refused input")
+
+
+def test_row_bits_guard_bounds():
+    # the 16-vertex full simplex (C(32,15) bits, 67 MiB) is admitted, the 17-vertex one is not
+    oracle_module._check_row_bits([range(comb(16, s)) for s in range(17)])
+    with pytest.raises(GuardExceeded, match="exceed the cap of 1073741824"):
+        oracle_module._check_row_bits([range(comb(17, s)) for s in range(18)])
+    # so is the 48,167-face cubic ideal on all its face sizes
+    cubic = _cubic_ideal(10, 9, seed=5)
+    places, gens = _renumbered_gens([g.support_mask(10) for g in cubic.gens])
+    faces_by_size = oracle_module._faces(gens, (1 << len(places)) - 1)
+    assert sum(map(len, faces_by_size)) == 48_167
+    oracle_module._check_row_bits(faces_by_size)
+
+
+def test_restricted_homology_refuses_large_rows_before_building_them(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_boundary_rows", _refuse_rows)
+    # no generators: the restriction to 17 vertices is the full simplex, whose
+    # rows take the sum of C(17, s) * C(17, s - 1) = C(34, 16) bits
+    with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(34, 16)} bits"):
+        restricted_homology(SquarefreeIdeal(9, ()), (1 << 17) - 1)
+
+
+def test_oracle_sweep_refuses_large_rows_before_building_them(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_boundary_rows", _refuse_rows)
+    # one generator on 17 variables: its restriction is the boundary of a
+    # 16-simplex, a core of 17 vertices that holds every face of the full
+    # simplex but the top one
+    simplex = SquarefreeIdeal(17, (SquarefreeMonomial((1 << 17) - 1, 0),))
+    for threads in (1, 2):
+        with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(34, 16) - 17} bits"):
+            oracle_sweep(simplex, threads=threads)
 
 
 def test_variable_mask():
@@ -291,6 +336,83 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["faces"] == 1_024
     assert work["rank_calls"] == 168
     assert work["rows"] == 511
+
+
+def _renumbered_gens(gens):
+    used = 0
+    for g in gens:
+        used |= g
+    places = oracle_module._bits(used)
+    return places, [oracle_module._renumbered(g, places) for g in gens]
+
+
+def _subsets_of(closure):
+    """The subsets a bitset closure holds, in increasing order."""
+    return [s for s, digit in enumerate(reversed(format(closure, "b"))) if digit == "1"]
+
+
+def _closure_in_original_numbering(gens):
+    places, renumbered = _renumbered_gens(gens)
+    closure = oracle_module._support_unions(renumbered, len(places))
+    return {sum(b for i, b in enumerate(places) if s >> i & 1) for s in _subsets_of(closure)}
+
+
+# sparse generators on up to 20 variables: x and y variables interleave, so
+# the used masks are not contiguous
+SPARSE_GENS = st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=6), max_size=10)
+).map(lambda supports: [sum(1 << v for v in support) for support in supports])
+
+
+@given(SPARSE_GENS)
+@settings(max_examples=60, deadline=None)
+def test_bitset_closure_equals_the_set_closure(gens):
+    assert _closure_in_original_numbering(gens) == set_support_unions(gens)
+
+
+def test_bitset_closure_on_explicit_cases():
+    assert _closure_in_original_numbering([]) == {0}
+    assert _closure_in_original_numbering([0b1010]) == {0, 0b1010}
+    # n = 4: x1*y3 and y2*x4, masks over bits 0..7
+    xy = [(1 << 0) | (1 << 6), (1 << 5) | (1 << 3)]
+    assert _closure_in_original_numbering(xy) == {0, xy[0], xy[1], xy[0] | xy[1]}
+    # sparse u = 20: a 20-cycle, ten disjoint edges, five disjoint degree-4 supports
+    cycle = [(1 << k) | (1 << (k + 1) % 20) for k in range(20)]
+    edges = [0b11 << 2 * k for k in range(10)]
+    quads = [0b1111 << 4 * k for k in range(5)]
+    for gens, count in ((cycle, 76_725), (edges, 1024), (quads, 32)):
+        unions = _closure_in_original_numbering(gens)
+        assert len(unions) == count
+        assert unions == set_support_unions(gens)
+
+
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=40), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_shares_split_the_unions_evenly(subsets, parts):
+    closure = sum(1 << s for s in set(subsets)) | 1
+    cuts = oracle_module._shares(closure, parts)
+    assert cuts[0] == 0 and cuts[-1] == closure.bit_length() and cuts == sorted(cuts)
+    total = closure.bit_count()
+    held = [(closure >> a & ((1 << (b - a)) - 1)).bit_count() for a, b in zip(cuts, cuts[1:])]
+    assert sum(held) == total and max(held) - min(held) <= 1
+
+
+@given(st.one_of(st_ideals(), EDGES.map(_edge_ideal)), st.data())
+@settings(max_examples=100, deadline=None)
+def test_memoised_reduction_equals_the_plain_loop(ideal_r, data):
+    places, gens = _renumbered_gens([g.support_mask(ideal_r.n) for g in ideal_r.gens])
+    used = (1 << len(places)) - 1
+    xmask = oracle_module._renumbered((1 << ideal_r.n) - 1, places)
+    table = oracle_module._domination_table(gens, used)
+    closure = oracle_module._support_unions(gens, len(places))
+    flags = bytes(int(digit) for digit in reversed(format(closure, "b")))
+    # any range of subsets, as a worker's share would be
+    a = data.draw(st.integers(0, len(flags)))
+    b = data.draw(st.integers(a, len(flags)))
+    memoised = oracle_module._reduce_chunk((xmask, a, flags[a:b], table))
+    plain_table = {w: pairs for w, (_, pairs) in table.items()}
+    sigmas = [s for s in range(a, b) if flags[s]]
+    assert memoised == plain_reduce(xmask, sigmas, plain_table)
 
 
 def _general_ideal(seed):
