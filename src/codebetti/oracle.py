@@ -180,7 +180,19 @@ def _faces(gens, within: int):
     vertex b is a face unless it contains a generator through b.
     """
     vertices = _bits(within)
-    through = [[g for g in gens if g & b and g & ~within == 0] for b in vertices]
+    # face + b contains a generator g through b iff face holds rest = g - b;
+    # the one-vertex rests of b go into one neighbour mask, and an empty
+    # rest (b is a generator) blocks every face
+    neighbours = [0] * len(vertices)
+    rests: list[list[int]] = [[] for _ in vertices]
+    for i, b in enumerate(vertices):
+        for g in gens:
+            if g & b and g & ~within == 0:
+                rest = g ^ b
+                if rest and rest & (rest - 1) == 0:
+                    neighbours[i] |= rest
+                else:
+                    rests[i].append(rest)
     by_size: list[list[int]] = [[] for _ in range(len(vertices) + 1)]
     by_size[0].append(0)
     frontier = [(0, 0)]  # (face, index of the first vertex it may still take)
@@ -188,9 +200,9 @@ def _faces(gens, within: int):
         grown = []
         for face, start in frontier:
             for i in range(start, len(vertices)):
-                cand = face | vertices[i]
-                if not any(g & ~cand == 0 for g in through[i]):
-                    grown.append((cand, i + 1))
+                if face & neighbours[i] or rests[i] and any(r & ~face == 0 for r in rests[i]):
+                    continue
+                grown.append((face | vertices[i], i + 1))
         if not grown:
             break
         by_size[size] = [face for face, _ in grown]
@@ -296,25 +308,23 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
     by w inside sigma iff v lies in B for every such g inside sigma. For an
     edge g = {w, x}, B is the neighbourhood of x.
     """
-    pairs: dict[int, list[tuple[int, int]]] = {b: [] for b in _bits(used)}
-    through = {b: [h for h in gens if h & b] for b in pairs}
-    for g in gens:
-        for w in _bits(g):
-            rest = g ^ w
-            # rest is a face, as the generators are minimal, so only a
-            # generator through v can lie inside rest + v
-            dominated = 0
-            for v, hs in through.items():
-                probe = rest | v
-                if any(h & ~probe == 0 for h in hs):
-                    dominated |= v
-            pairs[w].append((g, dominated))
     table = {}
-    for w, ps in pairs.items():
+    for w in _bits(used):
         reach = 0
-        for g, _ in ps:
-            reach |= g
-        table[w] = (reach, ps)
+        pairs = []
+        for g in gens:
+            if g & w:
+                reach |= g
+                rest = g ^ w
+                # rest is a face, as the generators are minimal, so a
+                # generator h lies inside rest + v iff v is all h has beyond rest
+                dominated = 0
+                for h in gens:
+                    extra = h & ~rest
+                    if extra & (extra - 1) == 0:
+                        dominated |= extra
+                pairs.append((g, dominated))
+        table[w] = (reach, pairs)
     return table
 
 
@@ -404,6 +414,13 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
     return out, rank_calls, reduced
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of the machine's where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _POOL = None  # (pid, threads, pool) of the last parallel sweep in this process
 
 
@@ -443,13 +460,19 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     cores (every other restriction reuses the homology of a core already
     computed), the faces of the global face list, the boundary ranks
     computed and the rows those ranks reduced after clearing, the last two
-    summed over the workers. With threads > 1 a pool first reduces the
-    unions, one contiguous range of subsets with an equal share of them per
-    worker, then computes one strided share of the distinct cores per
-    worker, so no core is computed twice and nothing depends on threads;
-    threads < 1 runs serially, as threads = 1 does.
+    summed over the workers. With threads > 1 a pool of that many workers
+    first reduces the unions, one contiguous range of subsets with an equal
+    share of them per task, then computes one strided share of the distinct
+    cores per task, so no core is computed twice and nothing depends on
+    threads. Each phase has one task per worker, or per usable CPU where
+    there are fewer; with one usable CPU the sweep runs serially, as it does
+    for threads < 1 and threads = 1.
     """
     threads = max(1, threads)
+    # each phase gets one share per worker, but no more shares than usable
+    # CPUs: further shares only time-slice, and each costs its own memo,
+    # pickling and cache refills
+    shares = min(threads, _usable_cpus())
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     used = 0
     for g in gens:
@@ -465,12 +488,12 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     closure = _support_unions(gens, len(places))
     faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
-    run = map if threads == 1 else _worker_pool(threads).map
-    # one chunk per worker and phase, as each further task would cost the
-    # pool a round trip; a worker gets its range's flags, 0 or 1 per subset,
-    # and picks out its own unions
+    run = map if shares == 1 else _worker_pool(threads).map
+    # one task per share and phase, as each further task would cost the pool
+    # a round trip; a worker gets its range's flags, 0 or 1 per subset, and
+    # picks out its own unions
     flags = format(closure, "b")[::-1].encode().translate(_FLAGS)
-    cuts = _shares(closure, threads)
+    cuts = _shares(closure, shares)
     reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
     cones = 0
     credits: dict[int, dict[tuple[int, int], int]] = {}
@@ -487,7 +510,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
     _check_row_bits(held)
     shared = (_boundary_rows(held), _avoiding(held, used))
-    homologies = run(_core_homology, [(cores[i::threads], *shared) for i in range(threads)])
+    homologies = run(_core_homology, [(cores[i::shares], *shared) for i in range(shares)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}
     rank_calls = reduced = 0

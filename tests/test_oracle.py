@@ -440,6 +440,27 @@ def test_parallel_sweep_bit_identical(worked_code):
         assert runs[0][0] == sweep_betti_table(ideal_p)
 
 
+def _refuse_pool(threads):
+    raise AssertionError("a sweep with one usable CPU must not start a pool")
+
+
+def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
+    ideal_c = _general_ideal(2)
+    serial = oracle_sweep(ideal_c, threads=1)
+    # one usable CPU: four workers are asked for, the sweep runs serially
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(oracle_module, "_worker_pool", _refuse_pool)
+    assert oracle_sweep(ideal_c, threads=4) == serial
+    # more usable CPUs than workers: one share per worker
+    monkeypatch.undo()
+    asked = []
+    real = oracle_module._shares
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts: asked.append(parts) or real(closure, parts))
+    assert oracle_sweep(ideal_c, threads=3) == serial
+    assert asked == [3]
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_sweep_serially(threads):
     ideal_z = _general_ideal(1)
