@@ -1,8 +1,8 @@
 import os
 import random
-from math import comb
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
