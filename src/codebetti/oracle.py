@@ -9,10 +9,10 @@ reads the formulas or the recursion.
 The sweep first renumbers the used variables 0..u-1 in their order, so a
 subset of them is an index below 2^u. The unions of supports are then one
 bitset over those 2^u subsets, grown by one shift-and-or per vertex of each
-generator. The pool's workers get it as one 0/1 byte per subset and pick out
-their own unions, each worker one contiguous range of subsets that holds an
-equal share of them. For each union the sweep works on a smaller complex
-with the same homology:
+generator. The pool's tasks get it as one 0/1 byte per subset and pick out
+their own unions, each task one contiguous range of subsets that holds an
+equal share of them; a phase has no more tasks than usable CPUs. For each
+union the sweep works on a smaller complex with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
   by w when every facet through v also holds w; deleting v is then a strong
