@@ -253,31 +253,101 @@ def _renumbered(mask: int, places: list[int]) -> int:
     return out
 
 
-def _support_unions(gens, u: int) -> int:
+def _holding(u: int) -> list[int]:
+    """Per vertex i < u, the subsets of 0..u-1 that hold i, as a bitset over the 2^u subsets.
+
+    Vertex i alternates 2^i subsets without it and 2^i with it, so each mask
+    is one period doubled until it spans the 2^u subsets.
+    """
+    full = 1 << u
+    masks = []
+    for i in range(u):
+        v = 1 << i
+        held = ((1 << v) - 1) << v  # one period, 2v subsets long
+        width = 2 * v
+        while width < full:
+            held |= held << width
+            width *= 2
+        masks.append(held)
+    return masks
+
+
+def _support_unions(gens, holding: list[int]) -> int:
     """The unions of generator supports on vertices 0..u-1, as a bitset over the 2^u subsets: bit s is set iff s is one.
 
     Each generator g maps the unions so far to their images s | g, one
     vertex v of g at a time: a subset that lacks v moves up by v (v + s =
-    v | s), one that holds v stays. The closure gains the images.
+    v | s), one that holds v stays. The closure gains the images. holding
+    is `_holding(u)`.
     """
-    full = 1 << u
     closure = 1  # the empty union
-    holding: dict[int, int] = {}  # per vertex bit v, the subsets that hold v
     for g in gens:
         image = closure
         for v in _bits(g):
-            held = holding.get(v)
-            if held is None:
-                held = ((1 << v) - 1) << v  # one period, 2v subsets long
-                width = 2 * v
-                while width < full:
-                    held |= held << width
-                    width *= 2
-                holding[v] = held
-            stay = image & held
+            stay = image & holding[v.bit_length() - 1]
             image = stay | (image ^ stay) << v
         closure |= image
     return closure
+
+
+def _cone_subsets(closure: int, table, holding: list[int]) -> int:
+    """The subsets whose complex strong-collapses to a point, as a bitset over the 2^u subsets.
+
+    A complex's core is unique up to isomorphism (Barmak and Minian), so
+    whether subset s collapses to a point does not depend on which
+    dominated vertex goes first: s does iff it is no union (a vertex in no
+    generator inside s is a cone point), or some vertex v dominated in s
+    leaves an s - v that does. D_v, the subsets in which v is dominated,
+    is the OR over w of the subsets that hold v and w but no generator g
+    through w whose B lacks v (see `_domination_table`); a subset that
+    holds w holds g iff it holds every vertex of g - w. The cones grow
+    from the non-unions by C |= D_v & (C << v), vertex by vertex, until a
+    round adds none: the shift moves a subset t without v up to t | v, and
+    one with v to a subset without v, which D_v drops. closure is
+    `_support_unions`, table `_domination_table` and holding `_holding`.
+    Each big mask is one per vertex or one per distinct set of pairs
+    through w, never one per generator.
+    """
+    u = len(holding)
+    dominated = [0] * u  # per vertex v, D_v
+    for w, (_, pairs) in table.items():
+        held = holding[w.bit_length() - 1]
+        # w dominates v in a union only if v lies in some B: a subset that
+        # holds w but no generator through w is no union, and a cone
+        # already. Nor does it where {w, v} is a generator.
+        candidates = blocked = w
+        for g, b in pairs:
+            candidates |= b
+            if (g ^ w).bit_count() == 1:
+                blocked |= g
+        candidates &= ~blocked
+        # per candidate v, the pairs whose B lacks v, as a mask of pair
+        # indices; per such mask, the subsets holding w and none of those
+        # pairs' generators
+        lacking = {v: sum(1 << k for k, (_, b) in enumerate(pairs) if not b & v) for v in _bits(candidates)}
+        masks = dict.fromkeys(lacking.values(), held)
+        for k, (g, _) in enumerate(pairs):
+            users = [key for key in masks if key >> k & 1]
+            if users:
+                inside = held
+                for x in _bits(g ^ w):
+                    inside &= holding[x.bit_length() - 1]
+                outside = held ^ inside
+                for key in users:
+                    masks[key] &= outside
+        for v, key in lacking.items():
+            i = v.bit_length() - 1
+            dominated[i] |= masks[key]
+    dominated = [d & h for d, h in zip(dominated, holding)]
+    cones = ((1 << (1 << u)) - 1) ^ closure
+    while True:
+        grown = cones
+        for i, d in enumerate(dominated):
+            if d:
+                grown |= d & (grown << (1 << i))
+        if grown == cones:
+            return cones
+        cones = grown
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits as 0/1 bytes
@@ -421,24 +491,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-_POOL = None  # (pid, threads, pool) of the last parallel sweep in this process
+_POOL = None  # (pid, workers, pool) of the last parallel sweep in this process
 
 
-def _worker_pool(threads: int):
-    """A pool of `threads` workers, kept for the next parallel sweep of this process.
+def _worker_pool(workers: int):
+    """A pool of `workers` processes, kept for the next parallel sweep of this process.
 
     Starting and stopping a pool costs about as much as a whole mid-sized
-    sweep, so one pool serves every call with the same thread count; a new
+    sweep, so one pool serves every call with the same worker count; a new
     count replaces it. A forked child starts its own, as the parent's pool
     is no use there.
     """
     global _POOL
     pid = os.getpid()
-    if _POOL is not None and _POOL[:2] == (pid, threads):
+    if _POOL is not None and _POOL[:2] == (pid, workers):
         return _POOL[2]
     if _POOL is not None and _POOL[0] == pid:
         _POOL[2].terminate()
-    _POOL = (pid, threads, multiprocessing.Pool(threads))
+    _POOL = (pid, workers, multiprocessing.Pool(workers))
     return _POOL[2]
 
 
@@ -460,18 +530,20 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     cores (every other restriction reuses the homology of a core already
     computed), the faces of the global face list, the boundary ranks
     computed and the rows those ranks reduced after clearing, the last two
-    summed over the workers. With threads > 1 a pool of that many workers
-    first reduces the unions, one contiguous range of subsets with an equal
-    share of them per task, then computes one strided share of the distinct
-    cores per task, so no core is computed twice and nothing depends on
-    threads. Each phase has one task per worker, or per usable CPU where
-    there are fewer; with one usable CPU the sweep runs serially, as it does
-    for threads < 1 and threads = 1.
+    summed over the workers. The cones are found for all unions at once
+    (`_cone_subsets`) before any union is reduced. With threads > 1 a pool
+    first reduces the other unions, one contiguous range of subsets with an
+    equal share of them per task, then computes one strided share of the
+    distinct cores per task, so no core is computed twice and nothing
+    depends on threads. Each phase has one task per thread, or per usable
+    CPU where there are fewer, and the pool has one worker per task; with
+    one usable CPU the sweep runs serially, as it does for threads < 1 and
+    threads = 1.
     """
     threads = max(1, threads)
-    # each phase gets one share per worker, but no more shares than usable
+    # each phase gets one share per thread, but no more shares than usable
     # CPUs: further shares only time-slice, and each costs its own memo,
-    # pickling and cache refills
+    # pickling and cache refills; a worker beyond the shares would get none
     shares = min(threads, _usable_cpus())
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     used = 0
@@ -485,17 +557,20 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     gens = [_renumbered(g, places) for g in gens]
     xmask = _renumbered((1 << ideal.n) - 1, places)
     used = (1 << len(places)) - 1
-    closure = _support_unions(gens, len(places))
+    holding = _holding(len(places))
+    closure = _support_unions(gens, holding)
     faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
-    run = map if shares == 1 else _worker_pool(threads).map
+    # only the unions that are no cones are reduced
+    kept = closure ^ (closure & _cone_subsets(closure, table, holding))
+    run = map if shares == 1 else _worker_pool(shares).map
     # one task per share and phase, as each further task would cost the pool
     # a round trip; a worker gets its range's flags, 0 or 1 per subset, and
     # picks out its own unions
-    flags = format(closure, "b")[::-1].encode().translate(_FLAGS)
-    cuts = _shares(closure, shares)
+    flags = format(kept, "b")[::-1].encode().translate(_FLAGS)
+    cuts = _shares(kept, shares)
     reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
-    cones = 0
+    cones = closure.bit_count() - kept.bit_count()
     credits: dict[int, dict[tuple[int, int], int]] = {}
     for part_cones, part in reduced:
         cones += part_cones

@@ -22,6 +22,7 @@ from codebetti import (
     mask_of,
     multigraded_betti_closed,
     oracle_sweep,
+    parse_code,
     pdim,
     piercing_profile,
     polarized_ideal,
@@ -35,6 +36,7 @@ from codebetti import oracle as oracle_module
 from conftest import (
     code_of,
     pairwise_minimalize,
+    plain_core,
     plain_faces,
     plain_homology_dims,
     plain_reduce,
@@ -353,7 +355,7 @@ def _subsets_of(closure):
 
 def _closure_in_original_numbering(gens):
     places, renumbered = _renumbered_gens(gens)
-    closure = oracle_module._support_unions(renumbered, len(places))
+    closure = oracle_module._support_unions(renumbered, oracle_module._holding(len(places)))
     return {sum(b for i, b in enumerate(places) if s >> i & 1) for s in _subsets_of(closure)}
 
 
@@ -404,7 +406,7 @@ def test_memoised_reduction_equals_the_plain_loop(ideal_r, data):
     used = (1 << len(places)) - 1
     xmask = oracle_module._renumbered((1 << ideal_r.n) - 1, places)
     table = oracle_module._domination_table(gens, used)
-    closure = oracle_module._support_unions(gens, len(places))
+    closure = oracle_module._support_unions(gens, oracle_module._holding(len(places)))
     flags = bytes(int(digit) for digit in reversed(format(closure, "b")))
     # any range of subsets, as a worker's share would be
     a = data.draw(st.integers(0, len(flags)))
@@ -413,6 +415,42 @@ def test_memoised_reduction_equals_the_plain_loop(ideal_r, data):
     plain_table = {w: pairs for w, (_, pairs) in table.items()}
     sigmas = [s for s in range(a, b) if flags[s]]
     assert memoised == plain_reduce(xmask, sigmas, plain_table)
+
+
+def _cone_unions(ideal_r):
+    """The pre-pass's cone unions and the plain loop's, each as a set of renumbered subsets."""
+    places, gens = _renumbered_gens([g.support_mask(ideal_r.n) for g in ideal_r.gens])
+    holding = oracle_module._holding(len(places))
+    table = oracle_module._domination_table(gens, (1 << len(places)) - 1)
+    closure = oracle_module._support_unions(gens, holding)
+    prepass = set(_subsets_of(closure & oracle_module._cone_subsets(closure, table, holding)))
+    plain_table = {w: pairs for w, (_, pairs) in table.items()}
+    plain = {s for s in _subsets_of(closure) if plain_core(s, plain_table) is None}
+    return prepass, plain
+
+
+@given(st.one_of(st_ideals(), EDGES.map(_edge_ideal)))
+@settings(max_examples=100, deadline=None)
+def test_cone_prepass_equals_the_plain_loop(ideal_r):
+    prepass, plain = _cone_unions(ideal_r)
+    assert prepass == plain
+
+
+def test_cone_prepass_on_explicit_cases():
+    # no generators: the empty union is the only one, and no cone
+    assert _cone_unions(SquarefreeIdeal(3, ())) == (set(), set())
+    # x2 is a generator of degree 1, never a vertex of a restricted complex
+    with_x2 = polarized_ideal(canonical_form(code_of((1,), (1, 3), n=3)), 3)
+    assert any(g.degree == 1 for g in with_x2.gens)
+    prepass, plain = _cone_unions(with_x2)
+    assert prepass == plain
+    four_cycle = parse_code((Path(__file__).resolve().parent.parent / "data" / "four_cycle.code").read_text())
+    prepass, plain = _cone_unions(polarized_ideal(canonical_form(four_cycle), four_cycle.n))
+    assert prepass == plain
+    _, code = random_pierced_code(11, seed=3)
+    prepass, plain = _cone_unions(polarized_ideal(canonical_form(code), code.n))
+    assert len(prepass) == 35_080
+    assert prepass == plain
 
 
 def _general_ideal(seed):
@@ -459,6 +497,18 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts: asked.append(parts) or real(closure, parts))
     assert oracle_sweep(ideal_c, threads=3) == serial
     assert asked == [3]
+
+
+def test_pool_has_one_worker_per_share(monkeypatch):
+    # eight threads on two usable CPUs: two shares per phase, so two workers
+    ideal_c = _general_ideal(2)
+    serial = oracle_sweep(ideal_c, threads=1)
+    asked = []
+    real = oracle_module._worker_pool
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: asked.append(workers) or real(workers))
+    assert oracle_sweep(ideal_c, threads=8) == serial
+    assert asked == [2]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
