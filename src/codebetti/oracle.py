@@ -9,10 +9,21 @@ reads the formulas or the recursion.
 The sweep first renumbers the used variables 0..u-1 in their order, so a
 subset of them is an index below 2^u. The unions of supports are then one
 bitset over those 2^u subsets, grown by one shift-and-or per vertex of each
-generator. The pool's tasks get it as one 0/1 byte per subset and pick out
-their own unions, each task one contiguous range of subsets that holds an
-equal share of them; a phase has no more tasks than usable CPUs. For each
-union the sweep works on a smaller complex with the same homology:
+generator. Most unions are cones, and the sweep finds them all before it
+reduces any, as one more bitset over the 2^u subsets. A complex's core,
+what is left once no vertex is dominated (below), is unique up to
+isomorphism (Barmak and Minian), so whether a subset strong-collapses to a
+point does not depend on which dominated vertex goes first: s does iff it
+is no union, or some vertex v dominated in s leaves an s - v that does.
+From one mask per vertex v, the subsets in which v is dominated, the
+cones grow from the non-unions, one shift, AND and OR per vertex and
+round, until a round adds none: two or three rounds, the last adding
+none, on the ideals measured. The
+pool's tasks get the other unions as one 0/1 byte per subset and pick out
+their own, each task one contiguous range of subsets that holds an equal
+share of them; a phase has no more tasks than usable CPUs, and the pool
+one worker per task. For each of those unions the sweep works on a
+smaller complex with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
   by w when every facet through v also holds w; deleting v is then a strong
@@ -26,7 +37,8 @@ union the sweep works on a smaller complex with the same homology:
   sigma & reach(w), the union of those generators, so each worker keeps,
   per vertex w and per such key, what w dominates.
 - A vertex left in no generator is a cone point: the homology is zero and
-  the union is skipped.
+  the union is skipped. The unions found to be cones beforehand never get
+  here.
 - Otherwise the homology of what is left, the core, is computed once per
   core mask by bit-packed Gaussian elimination, and credited at the
   original sigma's degrees.
@@ -400,6 +412,10 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
 
 _CONE = -1  # memo value: no generator through w lies inside sigma
 
+# faces in all the cores, at most 2^k for a core of k vertices, below which
+# the cores phase runs without the pool
+_POOL_MIN_CORE_FACES = 1 << 14
+
 
 def _core(sigma: int, memo) -> int | None:
     """The vertices left after deleting dominated vertices from sigma, or None for a cone.
@@ -580,11 +596,15 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
                 at[key] = at.get(key, 0) + mult
     # the cores' homology is most of the work on non-quadratic ideals, so it
     # is split over the pool too; every worker gets the one set of boundary
-    # rows and avoiding masks built here
+    # rows and avoiding masks built here. Below _POOL_MIN_CORE_FACES the
+    # phase takes a few ms, and the pool's round trip costs more than the
+    # half it saves
     cores = sorted(credits, key=lambda c: (c.bit_count(), c))
     held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
     _check_row_bits(held)
     shared = (_boundary_rows(held), _avoiding(held, used))
+    if sum(1 << c.bit_count() for c in cores) < _POOL_MIN_CORE_FACES:
+        run = map
     homologies = run(_core_homology, [(cores[i::shares], *shared) for i in range(shares)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}

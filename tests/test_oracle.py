@@ -453,6 +453,22 @@ def test_cone_prepass_on_explicit_cases():
     assert prepass == plain
 
 
+def test_sweep_reduces_only_the_unions_that_are_no_cones(monkeypatch):
+    _, code = random_pierced_code(11, seed=3)
+    ideal_c = polarized_ideal(canonical_form(code), code.n)
+    reduced = []  # per chunk, its unions and the cones it found among them
+    real = oracle_module._reduce_chunk
+
+    def recording(args):
+        part = real(args)
+        reduced.append((sum(args[2]), part[0]))
+        return part
+
+    monkeypatch.setattr(oracle_module, "_reduce_chunk", recording)
+    _, work = oracle_sweep(ideal_c)
+    assert reduced == [(work["restrictions"] - work["cones"], 0)]
+
+
 def _general_ideal(seed):
     # a dense random code on six neurons: its canonical form is not quadratic
     rng = random.Random(seed)
@@ -497,18 +513,41 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts: asked.append(parts) or real(closure, parts))
     assert oracle_sweep(ideal_c, threads=3) == serial
     assert asked == [3]
-
-
-def test_pool_has_one_worker_per_share(monkeypatch):
-    # eight threads on two usable CPUs: two shares per phase, so two workers
-    ideal_c = _general_ideal(2)
-    serial = oracle_sweep(ideal_c, threads=1)
+    # more workers than usable CPUs: the pool has one worker per share
+    monkeypatch.undo()
     asked = []
     real = oracle_module._worker_pool
     monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: asked.append(workers) or real(workers))
     assert oracle_sweep(ideal_c, threads=8) == serial
     assert asked == [2]
+
+
+class _RecordingPool:
+    """A stand-in for the worker pool that runs each task here and records which function each phase mapped."""
+
+    def __init__(self):
+        self.mapped = []
+
+    def map(self, fn, tasks):
+        self.mapped.append(fn.__name__)
+        return list(map(fn, tasks))
+
+
+def test_small_cores_phase_skips_the_pool(monkeypatch):
+    pool = _RecordingPool()
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: pool)
+    # c11's 169 cores have 1,669 faces at most: the phase runs here
+    _, code = random_pierced_code(11, seed=3)
+    small = polarized_ideal(canonical_form(code), code.n)
+    assert oracle_sweep(small, threads=2) == oracle_sweep(small, threads=1)
+    assert pool.mapped == ["_reduce_chunk"]
+    # a general ideal's cores have 80,101 faces at most: both phases take the pool
+    pool.mapped.clear()
+    large = _general_ideal(2)
+    assert oracle_sweep(large, threads=2) == oracle_sweep(large, threads=1)
+    assert pool.mapped == ["_reduce_chunk", "_core_homology"]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
