@@ -18,12 +18,11 @@ is no union, or some vertex v dominated in s leaves an s - v that does.
 From one mask per vertex v, the subsets in which v is dominated, the
 cones grow from the non-unions, one shift, AND and OR per vertex and
 round, until a round adds none: two or three rounds, the last adding
-none, on the ideals measured. The
-pool's tasks get the other unions as one 0/1 byte per subset and pick out
-their own, each task one contiguous range of subsets that holds an equal
-share of them; a phase has no more tasks than usable CPUs, and the pool
-one worker per task. For each of those unions the sweep works on a
-smaller complex with the same homology:
+none, on the ideals measured. The pool's tasks get the other unions as
+one 0/1 byte per subset and pick out their own, each task one contiguous
+range of subsets that holds an equal share of them; a phase has no more
+tasks than usable CPUs, and the pool one worker per task. For each of
+those unions the sweep works on a smaller complex with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
   by w when every facet through v also holds w; deleting v is then a strong
@@ -412,10 +411,6 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
 
 _CONE = -1  # memo value: no generator through w lies inside sigma
 
-# faces in all the cores, at most 2^k for a core of k vertices, below which
-# the cores phase runs without the pool
-_POOL_MIN_CORE_FACES = 1 << 14
-
 
 def _core(sigma: int, memo) -> int | None:
     """The vertices left after deleting dominated vertices from sigma, or None for a cone.
@@ -508,6 +503,10 @@ def _usable_cpus() -> int:
 
 
 _POOL = None  # (pid, workers, pool) of the last parallel sweep in this process
+
+# faces in all the cores, at most 2^k for a core of k vertices, below which
+# the cores phase runs without the pool
+_POOL_MIN_CORE_FACES = 1 << 14
 
 
 def _worker_pool(workers: int):

@@ -440,17 +440,14 @@ def test_cone_prepass_on_explicit_cases():
     # no generators: the empty union is the only one, and no cone
     assert _cone_unions(SquarefreeIdeal(3, ())) == (set(), set())
     # x2 is a generator of degree 1, never a vertex of a restricted complex
-    with_x2 = polarized_ideal(canonical_form(code_of((1,), (1, 3), n=3)), 3)
-    assert any(g.degree == 1 for g in with_x2.gens)
-    prepass, plain = _cone_unions(with_x2)
-    assert prepass == plain
+    with_x2 = code_of((1,), (1, 3), n=3)
+    assert any(g.degree == 1 for g in canonical_form(with_x2))
     four_cycle = parse_code((Path(__file__).resolve().parent.parent / "data" / "four_cycle.code").read_text())
-    prepass, plain = _cone_unions(polarized_ideal(canonical_form(four_cycle), four_cycle.n))
-    assert prepass == plain
-    _, code = random_pierced_code(11, seed=3)
-    prepass, plain = _cone_unions(polarized_ideal(canonical_form(code), code.n))
-    assert len(prepass) == 35_080
-    assert prepass == plain
+    _, c11 = random_pierced_code(11, seed=3)
+    for code in (with_x2, four_cycle, c11):
+        prepass, plain = _cone_unions(polarized_ideal(canonical_form(code), code.n))
+        assert prepass == plain
+    assert len(prepass) == 35_080  # c11's
 
 
 def test_sweep_reduces_only_the_unions_that_are_no_cones(monkeypatch):
