@@ -166,12 +166,24 @@ def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
     return dims, calls, reduced
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def _avoiding(faces_by_size, used: int) -> dict[int, list[int]]:
-    """Per vertex bit v of used, per face size, a bitmask over the positions of the faces without v."""
-    return {
-        v: [int("".join("0" if f & v else "1" for f in reversed(fs)) or "0", 2) for fs in faces_by_size]
-        for v in _bits(used)
-    }
+    """Per vertex bit v of used, per face size, a bitmask over the positions of the faces without v.
+
+    A size's faces are written as one string of binary digits, a fixed
+    width per face and the last face first, with each digit flipped; the
+    digits of v are then every width-th character, highest position first.
+    """
+    width = used.bit_length()
+    digits = f"{{:0{width}b}}".format
+    out: dict[int, list[int]] = {v: [] for v in _bits(used)}
+    for fs in faces_by_size:
+        flipped = "".join(map(digits, reversed(fs))).translate(_FLIP)
+        for v, masks in out.items():
+            masks.append(int(flipped[width - v.bit_length() :: width] or "0", 2))
+    return out
 
 
 def _bits(mask: int) -> list[int]:
@@ -324,14 +336,11 @@ def _cone_subsets(closure: int, table, holding: list[int]) -> int:
     for w, (_, pairs) in table.items():
         held = holding[w.bit_length() - 1]
         # w dominates v in a union only if v lies in some B: a subset that
-        # holds w but no generator through w is no union, and a cone
-        # already. Nor does it where {w, v} is a generator.
-        candidates = blocked = w
-        for g, b in pairs:
+        # holds w but no generator through w is no union, and a cone already
+        candidates = 0
+        for _, b in pairs:
             candidates |= b
-            if (g ^ w).bit_count() == 1:
-                blocked |= g
-        candidates &= ~blocked
+        candidates &= ~w
         # per candidate v, the pairs whose B lacks v, as a mask of pair
         # indices; per such mask, the subsets holding w and none of those
         # pairs' generators
@@ -504,10 +513,6 @@ def _usable_cpus() -> int:
 
 _POOL = None  # (pid, workers, pool) of the last parallel sweep in this process
 
-# faces in all the cores, at most 2^k for a core of k vertices, below which
-# the cores phase runs without the pool
-_POOL_MIN_CORE_FACES = 1 << 14
-
 
 def _worker_pool(workers: int):
     """A pool of `workers` processes, kept for the next parallel sweep of this process.
@@ -595,15 +600,11 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
                 at[key] = at.get(key, 0) + mult
     # the cores' homology is most of the work on non-quadratic ideals, so it
     # is split over the pool too; every worker gets the one set of boundary
-    # rows and avoiding masks built here. Below _POOL_MIN_CORE_FACES the
-    # phase takes a few ms, and the pool's round trip costs more than the
-    # half it saves
+    # rows and avoiding masks built here
     cores = sorted(credits, key=lambda c: (c.bit_count(), c))
     held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
     _check_row_bits(held)
     shared = (_boundary_rows(held), _avoiding(held, used))
-    if sum(1 << c.bit_count() for c in cores) < _POOL_MIN_CORE_FACES:
-        run = map
     homologies = run(_core_homology, [(cores[i::shares], *shared) for i in range(shares)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}

@@ -322,6 +322,18 @@ def test_reduced_engine_on_a_face_heavy_ideal():
     assert serial[0] == sweep_betti_table(ideal_h)
 
 
+@pytest.mark.parametrize("used", [0b1011011, 0b1111111])
+def test_avoiding_masks_hold_the_faces_without_each_vertex(used):
+    # on used vertices with gaps too, so a digit off by one vertex shows
+    gens = [0b11, 0b1001000, 0b0110010]
+    faces_by_size = oracle_module._faces([g & used for g in gens if g & ~used == 0], used)
+    avoiding = oracle_module._avoiding(faces_by_size, used)
+    assert sorted(avoiding) == oracle_module._bits(used)
+    for v, masks in avoiding.items():
+        for fs, mask in zip(faces_by_size, masks, strict=True):
+            assert mask == sum(1 << i for i, f in enumerate(fs) if not f & v)
+
+
 def test_oracle_counters_on_the_c11_instance():
     _, code = random_pierced_code(11, seed=3)
     ideal_c = polarized_ideal(canonical_form(code), code.n)
@@ -518,33 +530,6 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: asked.append(workers) or real(workers))
     assert oracle_sweep(ideal_c, threads=8) == serial
     assert asked == [2]
-
-
-class _RecordingPool:
-    """A stand-in for the worker pool that runs each task here and records which function each phase mapped."""
-
-    def __init__(self):
-        self.mapped = []
-
-    def map(self, fn, tasks):
-        self.mapped.append(fn.__name__)
-        return list(map(fn, tasks))
-
-
-def test_small_cores_phase_skips_the_pool(monkeypatch):
-    pool = _RecordingPool()
-    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: pool)
-    # c11's 169 cores have 1,669 faces at most: the phase runs here
-    _, code = random_pierced_code(11, seed=3)
-    small = polarized_ideal(canonical_form(code), code.n)
-    assert oracle_sweep(small, threads=2) == oracle_sweep(small, threads=1)
-    assert pool.mapped == ["_reduce_chunk"]
-    # a general ideal's cores have 80,101 faces at most: both phases take the pool
-    pool.mapped.clear()
-    large = _general_ideal(2)
-    assert oracle_sweep(large, threads=2) == oracle_sweep(large, threads=1)
-    assert pool.mapped == ["_reduce_chunk", "_core_homology"]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
