@@ -19,9 +19,10 @@ From one mask per vertex v, the subsets in which v is dominated, the
 cones grow from the non-unions, one shift, AND and OR per vertex and
 round, until a round adds none: two or three rounds, the last adding
 none, on the ideals measured. The pool's tasks get the other unions as
-one 0/1 byte per subset and pick out their own, each task one contiguous
-range of subsets that holds an equal share of them; a phase has no more
-tasks than usable CPUs, and the pool one worker per task. For each of
+one 0/1 byte per subset and find their own by memchr, each task one
+contiguous range of subsets whose unions hold an equal share of the
+vertices; a phase has no more tasks than usable CPUs, and the pool one
+worker per task. For each of
 those unions the sweep works on a smaller complex with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
@@ -59,11 +60,9 @@ of the unions (`set_support_unions`) and the memo-free reduction
 from __future__ import annotations
 
 import atexit
-import bisect
 import multiprocessing
 import os
 from dataclasses import dataclass
-from itertools import compress
 
 from .betti import BettiTable
 from .codes import NeuralCode, validate_code
@@ -373,19 +372,39 @@ def _cone_subsets(closure: int, table, holding: list[int]) -> int:
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits as 0/1 bytes
 
 
-def _shares(closure: int, parts: int) -> list[int]:
-    """Cut points splitting the subsets into parts ranges that each hold about as many unions.
+def _shares(closure: int, parts: int, holding: list[int]) -> list[int]:
+    """Cut points splitting the subsets into parts ranges whose unions hold about as many vertices.
 
-    Range i is cuts[i]..cuts[i+1]-1. Contiguous ranges let each worker
+    Range i is cuts[i]..cuts[i+1]-1. Reducing a union visits its vertices,
+    and the higher subsets hold more of them, so a share is weighed by its
+    unions' vertices, not by their count. Contiguous ranges let each worker
     pick its unions out of its own slice of the flags; split by a residue
-    of the subset, the shares could be 2:1 apart.
+    of the subset, the shares could be 2:1 apart. Each cut is the last
+    point whose lower subsets weigh at most its share of the total, found
+    from the highest vertex down: the next 2^k subsets either fit whole, or
+    the cut lies among them. Within such a block a subset holds the
+    block's fixed high vertices and the low vertices j < k of its offset,
+    whose periodic pattern is the start of holding[j] (`_holding`).
     """
-    total = closure.bit_count()
     end = closure.bit_length()
+    if parts == 1:
+        return [0, end]
+    total = sum((closure & held).bit_count() for held in holding)
     cuts = [0]
     for i in range(1, parts):
-        # the unions below p are total minus those at p and above
-        cuts.append(bisect.bisect_left(range(end), total * i // parts, key=lambda p: total - (closure >> p).bit_count()))
+        target = total * i // parts
+        point = weight = 0
+        window = closure  # the subsets from point on, shifted down to 0
+        for k in reversed(range(len(holding))):
+            low = window & ((1 << (1 << k)) - 1)
+            block = point.bit_count() * low.bit_count() + sum((low & holding[j]).bit_count() for j in range(k))
+            if weight + block <= target:
+                weight += block
+                point += 1 << k
+                window >>= 1 << k
+            else:
+                window = low
+        cuts.append(min(point, end))
     cuts.append(end)
     return cuts
 
@@ -470,7 +489,10 @@ def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
     memo = {w: (reach, pairs, {}) for w, (reach, pairs) in table.items()}
     cones = 0
     credits: dict[int, dict[tuple[int, int], int]] = {}
-    for sigma in compress(range(start, start + len(flags)), flags):
+    i = flags.find(1)  # a memchr skips the subsets that are no union here
+    while i >= 0:
+        sigma = start + i
+        i = flags.find(1, i + 1)
         core = _core(sigma, memo)
         if core is None:
             cones += 1
@@ -553,9 +575,9 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     summed over the workers. The cones are found for all unions at once
     (`_cone_subsets`) before any union is reduced. With threads > 1 a pool
     first reduces the other unions, one contiguous range of subsets with an
-    equal share of them per task, then computes one strided share of the
-    distinct cores per task, so no core is computed twice and nothing
-    depends on threads. Each phase has one task per thread, or per usable
+    equal share of their vertices per task, then computes one strided
+    share of the distinct cores per task, so no core is computed twice and
+    nothing depends on threads. Each phase has one task per thread, or per usable
     CPU where there are fewer, and the pool has one worker per task; with
     one usable CPU the sweep runs serially, as it does for threads < 1 and
     threads = 1.
@@ -579,17 +601,19 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     used = (1 << len(places)) - 1
     holding = _holding(len(places))
     closure = _support_unions(gens, holding)
-    faces_by_size = _faces(gens, used)
     table = _domination_table(gens, used)
     # only the unions that are no cones are reduced
     kept = closure ^ (closure & _cone_subsets(closure, table, holding))
-    run = map if shares == 1 else _worker_pool(shares).map
+    # both maps are lazy, and the pool's starts its tasks at once, so the
+    # faces are listed while the pool reduces
+    run = map if shares == 1 else _worker_pool(shares).imap
     # one task per share and phase, as each further task would cost the pool
     # a round trip; a worker gets its range's flags, 0 or 1 per subset, and
     # picks out its own unions
     flags = format(kept, "b")[::-1].encode().translate(_FLAGS)
-    cuts = _shares(kept, shares)
+    cuts = _shares(kept, shares, holding)
     reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
+    faces_by_size = _faces(gens, used)
     cones = closure.bit_count() - kept.bit_count()
     credits: dict[int, dict[tuple[int, int], int]] = {}
     for part_cones, part in reduced:

@@ -404,11 +404,17 @@ def test_bitset_closure_on_explicit_cases():
 @settings(max_examples=100, deadline=None)
 def test_shares_split_the_unions_evenly(subsets, parts):
     closure = sum(1 << s for s in set(subsets)) | 1
-    cuts = oracle_module._shares(closure, parts)
+    cuts = oracle_module._shares(closure, parts, oracle_module._holding(12))
     assert cuts[0] == 0 and cuts[-1] == closure.bit_length() and cuts == sorted(cuts)
-    total = closure.bit_count()
-    held = [(closure >> a & ((1 << (b - a)) - 1)).bit_count() for a, b in zip(cuts, cuts[1:])]
-    assert sum(held) == total and max(held) - min(held) <= 1
+    # a share weighs its unions' vertices: each cut falls just before the
+    # union that would take the weight below it past its even share
+    unions = sorted(set(subsets) | {0})
+    total = sum(s.bit_count() for s in unions)
+    for i, cut in enumerate(cuts[1:-1], 1):
+        below = sum(s.bit_count() for s in unions if s < cut)
+        after = [s for s in unions if s >= cut]
+        assert below <= total * i // parts
+        assert not after or below + after[0].bit_count() > total * i // parts
 
 
 @given(st.one_of(st_ideals(), EDGES.map(_edge_ideal)), st.data())
@@ -519,7 +525,7 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     asked = []
     real = oracle_module._shares
     monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts: asked.append(parts) or real(closure, parts))
+    monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts, holding: asked.append(parts) or real(closure, parts, holding))
     assert oracle_sweep(ideal_c, threads=3) == serial
     assert asked == [3]
     # more workers than usable CPUs: the pool has one worker per share
