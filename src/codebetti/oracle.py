@@ -22,8 +22,8 @@ none, on the ideals measured. The pool's tasks get the other unions as
 one 0/1 byte per subset and find their own by memchr, each task one
 contiguous range of subsets whose unions hold an equal share of the
 vertices; a phase has no more tasks than usable CPUs, and the pool one
-worker per task. For each of
-those unions the sweep works on a smaller complex with the same homology:
+worker per task. For each of those unions the sweep works on a smaller
+complex with the same homology:
 
 - It deletes dominated vertices until none is left. Vertex v is dominated
   by w when every facet through v also holds w; deleting v is then a strong
@@ -577,10 +577,10 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     first reduces the other unions, one contiguous range of subsets with an
     equal share of their vertices per task, then computes one strided
     share of the distinct cores per task, so no core is computed twice and
-    nothing depends on threads. Each phase has one task per thread, or per usable
-    CPU where there are fewer, and the pool has one worker per task; with
-    one usable CPU the sweep runs serially, as it does for threads < 1 and
-    threads = 1.
+    nothing depends on threads. Each phase has one task per thread, or per
+    usable CPU where there are fewer, and the pool has one worker per task;
+    with one usable CPU the sweep runs serially, as it does for threads < 1
+    and threads = 1.
     """
     threads = max(1, threads)
     # each phase gets one share per thread, but no more shares than usable
@@ -604,8 +604,8 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     table = _domination_table(gens, used)
     # only the unions that are no cones are reduced
     kept = closure ^ (closure & _cone_subsets(closure, table, holding))
-    # both maps are lazy, and the pool's starts its tasks at once, so the
-    # faces are listed while the pool reduces
+    # both maps are lazy, and the pool's imap starts its tasks at once, so
+    # the faces are listed while the pool reduces
     run = map if shares == 1 else _worker_pool(shares).imap
     # one task per share and phase, as each further task would cost the pool
     # a round trip; a worker gets its range's flags, 0 or 1 per subset, and
