@@ -36,16 +36,17 @@ complex with the same homology:
   Math. 2009). Which generators through w lie inside sigma depends only on
   sigma & reach(w), the union of those generators, so each worker keeps,
   per vertex w and per such key, what w dominates.
-- A vertex left in no generator is a cone point: the homology is zero and
-  the union is skipped. The unions found to be cones beforehand never get
-  here.
+- No cone gets here. One that did would keep a cone point, a vertex in no
+  generator inside it, which dominates every other vertex, and come out as
+  a one-point core with zero homology.
 - Otherwise the homology of what is left, the core, is computed once per
   core mask by bit-packed Gaussian elimination, and credited at the
   original sigma's degrees.
-- The sweep builds each face's boundary row once, over the positions of
-  the global faces one size smaller. A face inside a core has its whole
-  boundary inside it, so every core picks its faces by position and
-  eliminates these shared rows.
+- Each cores task builds a face size's boundary rows, over the positions
+  of the global faces one size smaller, the first time one of its cores
+  takes a rank at that size, and keeps them for its other cores. A face
+  inside a core has its whole boundary inside it, so every core picks its
+  faces by position and eliminates these rows.
 - Ranks go from the top face size down with clearing (Chen and Kerber,
   *Persistent homology computation with a twist*, EuroCG 2011): a face
   that leads a reduced row one size up has a row that reduces to zero, so
@@ -97,35 +98,20 @@ def _check_row_bits(faces_by_size) -> None:
         raise GuardExceeded(f"boundary rows of {bits} bits exceed the cap of {MAX_ROW_BITS}")
 
 
-def _boundary_rows(faces_by_size) -> list[list[int]]:
-    """Per face size s, each s-face's boundary as a bitmask over the positions of the (s-1)-faces."""
-    rows = [[0] * len(faces_by_size[0])]  # the empty face has no boundary
-    for s in range(1, len(faces_by_size)):
-        index = {f: i for i, f in enumerate(faces_by_size[s - 1])}
-        level = []
-        for f in faces_by_size[s]:
-            row = 0
-            m = f
-            while m:
-                b = m & -m
-                row |= 1 << index[f ^ b]
-                m ^= b
-            level.append(row)
-        rows.append(level)
-    return rows
-
-
-def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
+def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, int]:
     """Reduced homology dimensions of a subcomplex, the rank calls made and the rows reduced.
 
-    Dimensions are keyed by chain degree (face size minus one). rows are
-    the boundary rows of a complex by face size (`_boundary_rows`);
-    picked[s] is a bitmask over the positions of the subcomplex's s-faces,
-    whose boundaries lie in the subcomplex. Ranks are taken over F2 from the
-    top size down, with clearing: an s-face that is the leading face (msb)
-    of a reduced (s+1)-row leads a boundary, which is a cycle, so its own row
-    is a sum of the rows at lower positions. Dropping such rows, highest
-    first, never changes the span, so they are skipped and the rank stays.
+    Dimensions are keyed by chain degree (face size minus one). The
+    complex's faces are faces_by_size; picked[s] is a bitmask over the
+    positions of the subcomplex's s-faces, whose boundaries lie in the
+    subcomplex. rows[s] holds each s-face's boundary as a bitmask over the
+    positions of the (s-1)-faces: it is built the first time a rank needs
+    size s, and kept in rows, which the caller owns, for the next subcomplex
+    of the same complex. Ranks are taken over F2 from the top size down,
+    with clearing: an s-face that is the leading face (msb) of a reduced
+    (s+1)-row leads a boundary, which is a cycle, so its own row is a sum of
+    the rows at lower positions. Dropping such rows, highest first, never
+    changes the span, so they are skipped and the rank stays.
 
     The empty face sits in degree -1, so a restriction whose complex is just
     {empty} reports one dimension there; that is what makes the sweep put the
@@ -140,7 +126,18 @@ def _homology_dims(rows, picked) -> tuple[dict[int, int], int, int]:
         leads = 0
         if picked[s] and picked[s - 1]:
             calls += 1
-            level = rows[s]
+            level = rows.get(s)
+            if level is None:
+                index = {f: i for i, f in enumerate(faces_by_size[s - 1])}
+                level = rows[s] = []
+                for f in faces_by_size[s]:
+                    row = 0
+                    m = f
+                    while m:
+                        b = m & -m
+                        row |= 1 << index[f ^ b]
+                        m ^= b
+                    level.append(row)
             todo = picked[s] & ~cleared
             reduced += todo.bit_count()
             while todo:
@@ -243,10 +240,10 @@ def variable_mask(n: int, names) -> int:
     """Mask in the 2n-variable bit space for names like "x3" or "y5"."""
     mask = 0
     for name in names:
-        kind, idx = name[0], int(name[1:])
-        if kind not in "xy" or not 1 <= idx <= n:
+        kind, idx = name[:1], name[1:]
+        if kind not in ("x", "y") or not idx.isdecimal() or not 1 <= int(idx) <= n:
             raise ValueError(f"bad variable {name!r} for n={n}")
-        mask |= 1 << (idx - 1 + (n if kind == "y" else 0))
+        mask |= 1 << (int(idx) - 1 + (n if kind == "y" else 0))
     return mask
 
 
@@ -257,12 +254,14 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     variable names.
     """
     mask = sigma if isinstance(sigma, int) else variable_mask(ideal.n, sigma)
+    if mask < 0 or mask >> 2 * ideal.n:
+        raise ValueError(f"mask {mask:#x} is no set of the {2 * ideal.n} variables for n={ideal.n}")
     if mask.bit_count() > MAX_HOMOLOGY_VERTICES:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     faces_by_size = _faces(gens, mask)
     _check_row_bits(faces_by_size)
-    dims = _homology_dims(_boundary_rows(faces_by_size), [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
+    dims = _homology_dims(faces_by_size, {}, [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return HomologyResult(tuple(sorted(dims.items())))
 
 
@@ -437,19 +436,18 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
     return table
 
 
-_CONE = -1  # memo value: no generator through w lies inside sigma
-
-
-def _core(sigma: int, memo) -> int | None:
-    """The vertices left after deleting dominated vertices from sigma, or None for a cone.
+def _core(sigma: int, memo) -> int:
+    """The vertices left after deleting dominated vertices from sigma.
 
     Whatever w dominates stays dominated by w after other deletions, so all
     of it goes at once. Passes go up from the lowest vertex and repeat until
     one deletes nothing. What w dominates is sigma and a mask that depends
     on sigma only through key = sigma & reach(w), which tells the
     generators through w inside sigma. memo[w] is (reach(w), the pairs of w
-    in the domination table, a dict from key to that mask without w, or
-    to _CONE).
+    in the domination table, a dict from key to that mask without w). The
+    sweep passes no cone; in one, a w with no generator inside sigma would
+    dominate every other vertex, and sigma would shrink to w alone, a core
+    with zero homology.
     """
     changed = True
     while changed:
@@ -462,15 +460,11 @@ def _core(sigma: int, memo) -> int | None:
             key = sigma & reach
             dominated = seen.get(key)
             if dominated is None:
-                dominated = _CONE
+                dominated = ~w
                 for g, b in pairs:
                     if g & ~key == 0:
                         dominated &= b
-                if dominated != _CONE:
-                    dominated &= ~w
                 seen[key] = dominated
-            if dominated == _CONE:
-                return None
             if dominated & sigma:
                 sigma &= ~dominated
                 todo &= sigma
@@ -478,8 +472,8 @@ def _core(sigma: int, memo) -> int | None:
     return sigma
 
 
-def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
-    """Cones skipped, and per core how many restrictions of each (|sigma|, x-degree) reduce to it.
+def _reduce_chunk(args) -> dict[int, dict[tuple[int, int], int]]:
+    """Per core, how many restrictions of each (|sigma|, x-degree) reduce to it.
 
     The chunk's unions are the subsets start + i whose flags[i] is 1; the
     x variables are the vertices in xmask. The domination memo lives for
@@ -487,31 +481,31 @@ def _reduce_chunk(args) -> tuple[int, dict[int, dict[tuple[int, int], int]]]:
     """
     xmask, start, flags, table = args
     memo = {w: (reach, pairs, {}) for w, (reach, pairs) in table.items()}
-    cones = 0
     credits: dict[int, dict[tuple[int, int], int]] = {}
     i = flags.find(1)  # a memchr skips the subsets that are no union here
     while i >= 0:
         sigma = start + i
         i = flags.find(1, i + 1)
         core = _core(sigma, memo)
-        if core is None:
-            cones += 1
-            continue
         key = (sigma.bit_count(), (sigma & xmask).bit_count())
         at = credits.setdefault(core, {})
         at[key] = at.get(key, 0) + 1
-    return cones, credits
+    return credits
 
 
 def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
-    """Reduced homology of each core from the shared boundary rows, with the rank calls made and rows reduced.
+    """Reduced homology of each core, with the rank calls made and rows reduced.
 
-    A face lies in the core iff it avoids every used vertex outside it, so
-    the core's faces are picked by and-ing the avoiding masks of those
-    vertices, size by size.
+    faces_by_size are the faces on the used vertices. A face lies in the
+    core iff it avoids every used vertex outside it, so the core's faces
+    are picked by and-ing the avoiding masks of those vertices, size by
+    size. The cores share one set of boundary rows, each size built when a
+    core first needs it.
     """
-    cores, rows, avoiding = args
-    everything = [(1 << len(level)) - 1 for level in rows]
+    cores, faces_by_size, used = args
+    avoiding = _avoiding(faces_by_size, used)
+    rows: dict[int, list[int]] = {}
+    everything = [(1 << len(level)) - 1 for level in faces_by_size]
     out = []
     rank_calls = reduced = 0
     for core in cores:
@@ -519,7 +513,7 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
         for v, masks in avoiding.items():
             if not v & core:
                 picked = [p & m for p, m in zip(picked, masks)]
-        dims, calls, part = _homology_dims(rows, picked)
+        dims, calls, part = _homology_dims(faces_by_size, rows, picked)
         out.append((core, dims))
         rank_calls += calls
         reduced += part
@@ -573,14 +567,15 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     computed), the faces of the global face list, the boundary ranks
     computed and the rows those ranks reduced after clearing, the last two
     summed over the workers. The cones are found for all unions at once
-    (`_cone_subsets`) before any union is reduced. With threads > 1 a pool
-    first reduces the other unions, one contiguous range of subsets with an
-    equal share of their vertices per task, then computes one strided
-    share of the distinct cores per task, so no core is computed twice and
-    nothing depends on threads. Each phase has one task per thread, or per
-    usable CPU where there are fewer, and the pool has one worker per task;
-    with one usable CPU the sweep runs serially, as it does for threads < 1
-    and threads = 1.
+    (`_cone_subsets`) before any union is reduced, and only the other unions
+    are reduced. With threads > 1 a pool first reduces them, one contiguous
+    range of subsets with an equal share of their vertices per task, then
+    computes one strided share of the distinct cores per task, each task
+    building the boundary rows its cores need from the faces, so no core is
+    computed twice and nothing depends on threads. Each phase has one task
+    per thread, or per usable CPU where there are fewer, and the pool has
+    one worker per task; with one usable CPU the sweep runs serially, as it
+    does for threads < 1 and threads = 1.
     """
     threads = max(1, threads)
     # each phase gets one share per thread, but no more shares than usable
@@ -614,22 +609,19 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     cuts = _shares(kept, shares, holding)
     reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
     faces_by_size = _faces(gens, used)
-    cones = closure.bit_count() - kept.bit_count()
     credits: dict[int, dict[tuple[int, int], int]] = {}
-    for part_cones, part in reduced:
-        cones += part_cones
+    for part in reduced:
         for core, keys in part.items():
             at = credits.setdefault(core, {})
             for key, mult in keys.items():
                 at[key] = at.get(key, 0) + mult
     # the cores' homology is most of the work on non-quadratic ideals, so it
-    # is split over the pool too; every worker gets the one set of boundary
-    # rows and avoiding masks built here
+    # is split over the pool too; each task gets the faces and builds the
+    # avoiding masks and boundary rows it needs
     cores = sorted(credits, key=lambda c: (c.bit_count(), c))
     held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
     _check_row_bits(held)
-    shared = (_boundary_rows(held), _avoiding(held, used))
-    homologies = run(_core_homology, [(cores[i::shares], *shared) for i in range(shares)])
+    homologies = run(_core_homology, [(cores[i::shares], held, used) for i in range(shares)])
     # every merge is a sum, so scheduling order cannot change the result
     counts: dict[tuple[int, int, int], int] = {}
     rank_calls = reduced = 0
@@ -643,7 +635,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
                     counts[key] = counts.get(key, 0) + h * mult
     work = {
         "restrictions": closure.bit_count(),
-        "cones": cones,
+        "cones": closure.bit_count() - kept.bit_count(),
         "cores": len(cores),
         "faces": sum(map(len, faces_by_size)),
         "rank_calls": rank_calls,

@@ -480,7 +480,7 @@ def test_oracle_guard_exits_2_under_method_all(tmp_path, capsys):
 
 
 def test_row_bits_guard_exits_2_for_an_ideal(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "_boundary_rows", _refuse("_boundary_rows"))
+    monkeypatch.setattr(oracle, "_homology_dims", _refuse("_homology_dims"))
     p = tmp_path / "simplex.ideal"
     p.write_text("*".join(f"x{i}" for i in range(1, 18)) + "\n")  # the boundary of a 16-simplex
     rc, out, err = run(capsys, "betti", "--ideal", str(p))

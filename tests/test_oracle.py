@@ -83,8 +83,21 @@ def test_restricted_homology_guard():
         restricted_homology(SquarefreeIdeal(16, ()), (1 << 25) - 1)
 
 
-def _refuse_rows(faces_by_size):
+def _refuse_rows(faces_by_size, rows, picked):
     raise AssertionError("the boundary rows must not be built for a refused input")
+
+
+def _refuse_faces(gens, within):
+    raise AssertionError("no face may be listed for a refused restriction")
+
+
+@pytest.mark.parametrize("sigma", [-1, -(1 << 3), 1 << 4, 1 << 10, ["y1", ""]])
+def test_restricted_homology_refuses_a_set_that_is_no_set_of_variables(monkeypatch, sigma):
+    # n = 2 has the variables 0..3: a negative mask has endless set bits, a
+    # bit at 4 or above is no variable, and "" is no name
+    monkeypatch.setattr(oracle_module, "_faces", _refuse_faces)
+    with pytest.raises(ValueError, match="no set of the 4 variables|bad variable"):
+        restricted_homology(SquarefreeIdeal(2, ()), sigma)
 
 
 def test_row_bits_guard_bounds():
@@ -101,7 +114,7 @@ def test_row_bits_guard_bounds():
 
 
 def test_restricted_homology_refuses_large_rows_before_building_them(monkeypatch):
-    monkeypatch.setattr(oracle_module, "_boundary_rows", _refuse_rows)
+    monkeypatch.setattr(oracle_module, "_homology_dims", _refuse_rows)
     # no generators: the restriction to 17 vertices is the full simplex, whose
     # rows take the sum of C(17, s) * C(17, s - 1) = C(34, 16) bits
     with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(34, 16)} bits"):
@@ -109,20 +122,28 @@ def test_restricted_homology_refuses_large_rows_before_building_them(monkeypatch
 
 
 def test_oracle_sweep_refuses_large_rows_before_building_them(monkeypatch):
-    monkeypatch.setattr(oracle_module, "_boundary_rows", _refuse_rows)
+    monkeypatch.setattr(oracle_module, "_homology_dims", _refuse_rows)
+    # a pool forked now refuses rows in its workers too, so the test gets a
+    # pool of its own, stopped at the end; the undo brings the kept one back
+    monkeypatch.setattr(oracle_module, "_POOL", None)
     # one generator on 17 variables: its restriction is the boundary of a
     # 16-simplex, a core of 17 vertices that holds every face of the full
     # simplex but the top one
     simplex = SquarefreeIdeal(17, (SquarefreeMonomial((1 << 17) - 1, 0),))
-    for threads in (1, 2):
-        with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(34, 16) - 17} bits"):
-            oracle_sweep(simplex, threads=threads)
+    try:
+        for threads in (1, 2):
+            with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(34, 16) - 17} bits"):
+                oracle_sweep(simplex, threads=threads)
+    finally:
+        if oracle_module._POOL is not None:
+            oracle_module._POOL[2].terminate()
 
 
 def test_variable_mask():
     assert variable_mask(4, ["x1", "y3"]) == 1 | (1 << (4 + 2))
-    with pytest.raises(ValueError):
-        variable_mask(2, ["z1"])
+    for name in ("z1", "", "x", "y0", "x5", "x1_0"):
+        with pytest.raises(ValueError, match="bad variable"):
+            variable_mask(4, [name])
 
 
 def test_oracle_tables_for_published_ideals():
@@ -352,6 +373,27 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["rows"] == 511
 
 
+def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch):
+    # c11's largest core has 5 vertices, so the cores get the faces of sizes
+    # 0 to 5; but each core is a point set, so every rank is one of vertices
+    # over the empty face, and the rows of sizes 2 to 5 are never built
+    _, code = random_pierced_code(11, seed=3)
+    ideal_c = polarized_ideal(canonical_form(code), code.n)
+    sizes, built = set(), set()
+    real = oracle_module._homology_dims
+
+    def recording(faces_by_size, rows, picked):
+        part = real(faces_by_size, rows, picked)
+        sizes.add(len(faces_by_size) - 1)
+        built.update(rows)
+        return part
+
+    monkeypatch.setattr(oracle_module, "_homology_dims", recording)
+    _, work = oracle_sweep(ideal_c)
+    assert work["rank_calls"] == 168
+    assert sizes == {5} and built == {1}
+
+
 def _renumbered_gens(gens):
     used = 0
     for g in gens:
@@ -424,15 +466,18 @@ def test_memoised_reduction_equals_the_plain_loop(ideal_r, data):
     used = (1 << len(places)) - 1
     xmask = oracle_module._renumbered((1 << ideal_r.n) - 1, places)
     table = oracle_module._domination_table(gens, used)
-    closure = oracle_module._support_unions(gens, oracle_module._holding(len(places)))
-    flags = bytes(int(digit) for digit in reversed(format(closure, "b")))
+    holding = oracle_module._holding(len(places))
+    closure = oracle_module._support_unions(gens, holding)
+    # the kept unions, the only ones the sweep reduces
+    kept = closure ^ (closure & oracle_module._cone_subsets(closure, table, holding))
+    flags = bytes(int(digit) for digit in reversed(format(kept, "b")))
     # any range of subsets, as a worker's share would be
     a = data.draw(st.integers(0, len(flags)))
     b = data.draw(st.integers(a, len(flags)))
     memoised = oracle_module._reduce_chunk((xmask, a, flags[a:b], table))
     plain_table = {w: pairs for w, (_, pairs) in table.items()}
     sigmas = [s for s in range(a, b) if flags[s]]
-    assert memoised == plain_reduce(xmask, sigmas, plain_table)
+    assert plain_reduce(xmask, sigmas, plain_table) == (0, memoised)
 
 
 def _cone_unions(ideal_r):
@@ -471,17 +516,16 @@ def test_cone_prepass_on_explicit_cases():
 def test_sweep_reduces_only_the_unions_that_are_no_cones(monkeypatch):
     _, code = random_pierced_code(11, seed=3)
     ideal_c = polarized_ideal(canonical_form(code), code.n)
-    reduced = []  # per chunk, its unions and the cones it found among them
+    reduced = []  # per chunk, its unions
     real = oracle_module._reduce_chunk
 
     def recording(args):
-        part = real(args)
-        reduced.append((sum(args[2]), part[0]))
-        return part
+        reduced.append(sum(args[2]))
+        return real(args)
 
     monkeypatch.setattr(oracle_module, "_reduce_chunk", recording)
     _, work = oracle_sweep(ideal_c)
-    assert reduced == [(work["restrictions"] - work["cones"], 0)]
+    assert reduced == [work["restrictions"] - work["cones"]] == [5_449]
 
 
 def _general_ideal(seed):
