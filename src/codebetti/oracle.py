@@ -7,55 +7,43 @@ only unions sigma of generator supports can contribute. The sweep never
 reads the formulas or the recursion.
 
 The sweep first renumbers the used variables 0..u-1 in their order, so a
-subset of them is an index below 2^u. The unions of supports are then one
-bitset over those 2^u subsets, grown by one shift-and-or per vertex of each
-generator. Most unions are cones, and the sweep finds them all before it
-reduces any, as one more bitset over the 2^u subsets. A complex's core,
-what is left once no vertex is dominated (below), is unique up to
-isomorphism (Barmak and Minian), so whether a subset strong-collapses to a
-point does not depend on which dominated vertex goes first: s does iff it
-is no union, or some vertex v dominated in s leaves an s - v that does.
-From one mask per vertex v, the subsets in which v is dominated, the
-cones grow from the non-unions, one shift, AND and OR per vertex and
-round, until a round adds none: two or three rounds, the last adding
-none, on the ideals measured. The pool's tasks get the other unions as
-one 0/1 byte per subset and find their own by memchr, each task one
-contiguous range of subsets whose unions hold an equal share of the
-vertices; a phase has no more tasks than usable CPUs, and the pool one
-worker per task. For each of those unions the sweep works on a smaller
-complex with the same homology:
+subset of them is an index below 2^u, and works on bitsets over those 2^u
+subsets; it never reduces a union on its own:
 
-- It deletes dominated vertices until none is left. Vertex v is dominated
-  by w when every facet through v also holds w; deleting v is then a strong
-  collapse, which keeps the homotopy type (Barmak and Minian, *Strong
-  homotopy types, nerves and collapses*, Discrete Comput. Geom. 2012). On
-  the generators, v is dominated by w iff, for every generator g through w
-  inside sigma, (g - w) + v contains a generator. For an edge ideal that is
-  Engström's rule: v and w are not adjacent and N(w) lies in N(v)
-  (*Complexes of directed trees and independence complexes*, Discrete
-  Math. 2009). Which generators through w lie inside sigma depends only on
-  sigma & reach(w), the union of those generators, so each worker keeps,
-  per vertex w and per such key, what w dominates.
-- No cone gets here. One that did would keep a cone point, a vertex in no
-  generator inside it, which dominates every other vertex, and come out as
-  a one-point core with zero homology.
-- Otherwise the homology of what is left, the core, is computed once per
-  core mask by bit-packed Gaussian elimination, and credited at the
-  original sigma's degrees.
-- Each cores task builds a face size's boundary rows, over the positions
-  of the global faces one size smaller, the first time one of its cores
-  takes a rank at that size, and keeps them for its other cores. A face
-  inside a core has its whole boundary inside it, so every core picks its
-  faces by position and eliminates these rows.
-- Ranks go from the top face size down with clearing (Chen and Kerber,
-  *Persistent homology computation with a twist*, EuroCG 2011): a face
-  that leads a reduced row one size up has a row that reduces to zero, so
-  it is skipped.
+- The unions of supports are one bitset, grown by one shift-and-or per
+  vertex of each generator.
+- Vertex v is dominated by w when every facet through v also holds w;
+  deleting v is then a strong collapse, which keeps the homotopy type
+  (Barmak and Minian, *Strong homotopy types, nerves and collapses*,
+  Discrete Comput. Geom. 2012). On the generators, v is dominated by w iff,
+  for every generator g through w inside sigma, (g - w) + v contains a
+  generator. For an edge ideal that is Engström's rule: v and w are not
+  adjacent and N(w) lies in N(v) (*Complexes of directed trees and
+  independence complexes*, Discrete Math. 2009). One bitset per vertex v,
+  D_v, holds the unions in which v is dominated.
+- The cores are the unions in which no vertex is dominated. The homology
+  of each is computed once, by bit-packed Gaussian elimination. Each cores
+  task builds a face size's boundary rows, over the positions of the
+  global faces one size smaller, the first time one of its cores takes a
+  rank at that size, and keeps them for its other cores. A face inside a
+  core has its whole boundary inside it, so every core picks its faces by
+  position and eliminates these rows. Ranks go from the top face size down
+  with clearing (Chen and Kerber, *Persistent homology computation with a
+  twist*, EuroCG 2011): a face that leads a reduced row one size up has a
+  row that reduces to zero, so it is skipped.
+- A complex's core is unique up to isomorphism (Barmak and Minian), so the
+  cores that a union strong-collapses onto all have its homology. The cores
+  are grouped by homology, and each group grows to the unions that
+  collapse onto it by C |= D_v & (C << v), one shift, AND and OR per vertex
+  and round, until a round adds none. Every union lands in the group of its
+  own homology, or in none if it collapses to a point (a cone). Degree
+  masks, the subsets of each size and each x-degree, count a group's
+  unions per multidegree, and the group's homology is credited there.
 
 The plain sweep, which computes every restriction in full, is kept as the
 reference `sweep_betti_table` in tests/conftest.py, next to the set closure
-of the unions (`set_support_unions`) and the memo-free reduction
-(`plain_core`, `plain_reduce`).
+of the unions (`set_support_unions`) and the memo-free core of one union
+(`plain_core`).
 """
 
 from __future__ import annotations
@@ -91,9 +79,9 @@ class HypothesisViolation(ValueError):
     """The code falls outside the hypotheses of the regularity characterization."""
 
 
-def _check_row_bits(faces_by_size) -> None:
-    """Refuse a face list whose boundary rows would exceed MAX_ROW_BITS, before they are built."""
-    bits = sum(len(upper) * len(lower) for upper, lower in zip(faces_by_size[1:], faces_by_size))
+def _check_row_bits(counts) -> None:
+    """Refuse faces whose boundary rows would exceed MAX_ROW_BITS, before they are built; counts[s] is the s-faces'."""
+    bits = sum(upper * lower for upper, lower in zip(counts[1:], counts))
     if bits > MAX_ROW_BITS:
         raise GuardExceeded(f"boundary rows of {bits} bits exceed the cap of {MAX_ROW_BITS}")
 
@@ -260,7 +248,7 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
         raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     faces_by_size = _faces(gens, mask)
-    _check_row_bits(faces_by_size)
+    _check_row_bits(list(map(len, faces_by_size)))
     dims = _homology_dims(faces_by_size, {}, [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return HomologyResult(tuple(sorted(dims.items())))
 
@@ -274,23 +262,44 @@ def _renumbered(mask: int, places: list[int]) -> int:
     return out
 
 
+def _tiled(period: int, width: int, u: int) -> int:
+    """A bitset over width subsets, width a power of two, repeated across the 2^u subsets."""
+    while width < 1 << u:
+        period |= period << width
+        width *= 2
+    return period
+
+
 def _holding(u: int) -> list[int]:
     """Per vertex i < u, the subsets of 0..u-1 that hold i, as a bitset over the 2^u subsets.
 
     Vertex i alternates 2^i subsets without it and 2^i with it, so each mask
-    is one period doubled until it spans the 2^u subsets.
+    is that period of 2^(i+1) subsets, tiled.
     """
-    full = 1 << u
-    masks = []
+    return [_tiled(((1 << (1 << i)) - 1) << (1 << i), 2 << i, u) for i in range(u)]
+
+
+def _sizes(u: int) -> list[int]:
+    """Per k <= u, the subsets of 0..u-1 with k elements, as a bitset over the 2^u subsets.
+
+    The subsets of 0..i are those of 0..i-1, then the same again with i
+    added, 2^i places higher and one element larger.
+    """
+    masks = [1]
     for i in range(u):
-        v = 1 << i
-        held = ((1 << v) - 1) << v  # one period, 2v subsets long
-        width = 2 * v
-        while width < full:
-            held |= held << width
-            width *= 2
-        masks.append(held)
+        masks = [low | high << (1 << i) for low, high in zip(masks + [0], [0] + masks)]
     return masks
+
+
+def _members(mask: int) -> list[int]:
+    """The set bits of a bitset, lowest first, each as its position; a memchr skips the clear ones."""
+    digits = format(mask, "b")[::-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def _support_unions(gens, holding: list[int]) -> int:
@@ -311,30 +320,22 @@ def _support_unions(gens, holding: list[int]) -> int:
     return closure
 
 
-def _cone_subsets(closure: int, table, holding: list[int]) -> int:
-    """The subsets whose complex strong-collapses to a point, as a bitset over the 2^u subsets.
+def _dominated(table, holding: list[int]) -> list[int]:
+    """Per vertex v, D_v: the subsets in which v is dominated, as a bitset over the 2^u subsets.
 
-    A complex's core is unique up to isomorphism (Barmak and Minian), so
-    whether subset s collapses to a point does not depend on which
-    dominated vertex goes first: s does iff it is no union (a vertex in no
-    generator inside s is a cone point), or some vertex v dominated in s
-    leaves an s - v that does. D_v, the subsets in which v is dominated,
-    is the OR over w of the subsets that hold v and w but no generator g
-    through w whose B lacks v (see `_domination_table`); a subset that
-    holds w holds g iff it holds every vertex of g - w. The cones grow
-    from the non-unions by C |= D_v & (C << v), vertex by vertex, until a
-    round adds none: the shift moves a subset t without v up to t | v, and
-    one with v to a subset without v, which D_v drops. closure is
-    `_support_unions`, table `_domination_table` and holding `_holding`.
-    Each big mask is one per vertex or one per distinct set of pairs
-    through w, never one per generator.
+    D_v is the OR over w of the subsets that hold v and w but no generator
+    g through w whose B lacks v (see `_domination_table`); a subset that
+    holds w holds g iff it holds every vertex of g - w. On the unions this
+    is exact; off them it may miss a domination, never invent one. table
+    is `_domination_table` and holding `_holding`. Each big mask is one per
+    vertex or one per distinct set of pairs through w, never one per
+    generator.
     """
-    u = len(holding)
-    dominated = [0] * u  # per vertex v, D_v
+    dominated = [0] * len(holding)
     for w, (_, pairs) in table.items():
         held = holding[w.bit_length() - 1]
         # w dominates v in a union only if v lies in some B: a subset that
-        # holds w but no generator through w is no union, and a cone already
+        # holds w but no generator through w is no union
         candidates = 0
         for _, b in pairs:
             candidates |= b
@@ -356,56 +357,26 @@ def _cone_subsets(closure: int, table, holding: list[int]) -> int:
         for v, key in lacking.items():
             i = v.bit_length() - 1
             dominated[i] |= masks[key]
-    dominated = [d & h for d, h in zip(dominated, holding)]
-    cones = ((1 << (1 << u)) - 1) ^ closure
+    return [d & h for d, h in zip(dominated, holding)]
+
+
+def _grow(seeds: int, dominated: list[int]) -> int:
+    """The subsets that strong-collapse onto one of seeds, as a bitset over the 2^u subsets.
+
+    A subset s is in iff it is a seed, or some vertex v dominated in s
+    leaves an s - v that is in: C |= D_v & (C << v), vertex by vertex, until
+    a round adds none. The shift moves a subset t without v up to t | v, and
+    one with v to a subset without v, which D_v drops. dominated is
+    `_dominated`.
+    """
     while True:
-        grown = cones
+        grown = seeds
         for i, d in enumerate(dominated):
             if d:
                 grown |= d & (grown << (1 << i))
-        if grown == cones:
-            return cones
-        cones = grown
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits as 0/1 bytes
-
-
-def _shares(closure: int, parts: int, holding: list[int]) -> list[int]:
-    """Cut points splitting the subsets into parts ranges whose unions hold about as many vertices.
-
-    Range i is cuts[i]..cuts[i+1]-1. Reducing a union visits its vertices,
-    and the higher subsets hold more of them, so a share is weighed by its
-    unions' vertices, not by their count. Contiguous ranges let each worker
-    pick its unions out of its own slice of the flags; split by a residue
-    of the subset, the shares could be 2:1 apart. Each cut is the last
-    point whose lower subsets weigh at most its share of the total, found
-    from the highest vertex down: the next 2^k subsets either fit whole, or
-    the cut lies among them. Within such a block a subset holds the
-    block's fixed high vertices and the low vertices j < k of its offset,
-    whose periodic pattern is the start of holding[j] (`_holding`).
-    """
-    end = closure.bit_length()
-    if parts == 1:
-        return [0, end]
-    total = sum((closure & held).bit_count() for held in holding)
-    cuts = [0]
-    for i in range(1, parts):
-        target = total * i // parts
-        point = weight = 0
-        window = closure  # the subsets from point on, shifted down to 0
-        for k in reversed(range(len(holding))):
-            low = window & ((1 << (1 << k)) - 1)
-            block = point.bit_count() * low.bit_count() + sum((low & holding[j]).bit_count() for j in range(k))
-            if weight + block <= target:
-                weight += block
-                point += 1 << k
-                window >>= 1 << k
-            else:
-                window = low
-        cuts.append(min(point, end))
-    cuts.append(end)
-    return cuts
+        if grown == seeds:
+            return seeds
+        seeds = grown
 
 
 def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, int]]]]:
@@ -434,63 +405,6 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
                 pairs.append((g, dominated))
         table[w] = (reach, pairs)
     return table
-
-
-def _core(sigma: int, memo) -> int:
-    """The vertices left after deleting dominated vertices from sigma.
-
-    Whatever w dominates stays dominated by w after other deletions, so all
-    of it goes at once. Passes go up from the lowest vertex and repeat until
-    one deletes nothing. What w dominates is sigma and a mask that depends
-    on sigma only through key = sigma & reach(w), which tells the
-    generators through w inside sigma. memo[w] is (reach(w), the pairs of w
-    in the domination table, a dict from key to that mask without w). The
-    sweep passes no cone; in one, a w with no generator inside sigma would
-    dominate every other vertex, and sigma would shrink to w alone, a core
-    with zero homology.
-    """
-    changed = True
-    while changed:
-        changed = False
-        todo = sigma
-        while todo:
-            w = todo & -todo
-            todo ^= w
-            reach, pairs, seen = memo[w]
-            key = sigma & reach
-            dominated = seen.get(key)
-            if dominated is None:
-                dominated = ~w
-                for g, b in pairs:
-                    if g & ~key == 0:
-                        dominated &= b
-                seen[key] = dominated
-            if dominated & sigma:
-                sigma &= ~dominated
-                todo &= sigma
-                changed = True
-    return sigma
-
-
-def _reduce_chunk(args) -> dict[int, dict[tuple[int, int], int]]:
-    """Per core, how many restrictions of each (|sigma|, x-degree) reduce to it.
-
-    The chunk's unions are the subsets start + i whose flags[i] is 1; the
-    x variables are the vertices in xmask. The domination memo lives for
-    the one chunk.
-    """
-    xmask, start, flags, table = args
-    memo = {w: (reach, pairs, {}) for w, (reach, pairs) in table.items()}
-    credits: dict[int, dict[tuple[int, int], int]] = {}
-    i = flags.find(1)  # a memchr skips the subsets that are no union here
-    while i >= 0:
-        sigma = start + i
-        i = flags.find(1, i + 1)
-        core = _core(sigma, memo)
-        key = (sigma.bit_count(), (sigma & xmask).bit_count())
-        at = credits.setdefault(core, {})
-        at[key] = at.get(key, 0) + 1
-    return credits
 
 
 def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
@@ -556,32 +470,57 @@ def _stop_worker_pool() -> None:
         _POOL[2].terminate()
 
 
+def _degrees(subsets: int, sizes: list[int], xsizes: list[int]) -> dict[tuple[int, int], int]:
+    """How many of the subsets in a bitset over the 2^u subsets have each (size, x-degree).
+
+    sizes is `_sizes(u)`, and xsizes the same per x-degree, the x variables
+    being the low vertices; the sizes of one x-degree stop once they have
+    found all of its subsets.
+    """
+    counts = {}
+    for a, xs in enumerate(xsizes):
+        part = subsets & xs
+        left = part.bit_count()
+        for k in range(a, len(sizes)):
+            if not left:
+                break
+            found = (part & sizes[k]).bit_count()
+            if found:
+                counts[k, a] = found
+                left -= found
+    return counts
+
+
 def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, dict[str, int]]:
-    """Multigraded Betti table of S/J by the reduced restriction sweep, with its work counts.
+    """Multigraded Betti table of S/J by the core sweep, with its work counts.
 
     Restrictions that are not unions of generator supports have a cone
-    point and contribute nothing, so the sweep runs exactly over those
-    unions (plus the empty restriction, which yields the (0,0,0) entry).
-    The counts are the restrictions, the cones among them, the distinct
-    cores (every other restriction reuses the homology of a core already
-    computed), the faces of the global face list, the boundary ranks
-    computed and the rows those ranks reduced after clearing, the last two
-    summed over the workers. The cones are found for all unions at once
-    (`_cone_subsets`) before any union is reduced, and only the other unions
-    are reduced. With threads > 1 a pool first reduces them, one contiguous
-    range of subsets with an equal share of their vertices per task, then
-    computes one strided share of the distinct cores per task, each task
-    building the boundary rows its cores need from the faces, so no core is
-    computed twice and nothing depends on threads. Each phase has one task
-    per thread, or per usable CPU where there are fewer, and the pool has
-    one worker per task; with one usable CPU the sweep runs serially, as it
-    does for threads < 1 and threads = 1.
+    point and contribute nothing, so the sweep credits exactly those unions
+    (plus the empty restriction, which yields the (0,0,0) entry). It never
+    reduces a union on its own. The cores are the unions in which no
+    vertex is dominated (`_dominated`); their homology is computed once
+    each, and the cores are grouped by it. A union strong-collapses onto
+    the cores of exactly one group, that of its own homology, or onto a
+    point, if it is a cone; each group grows to its unions (`_grow`), which
+    are counted per degree and credited with the group's homology.
+
+    The counts are the restrictions, the cones among them, the cores, the
+    faces of the global face list, the boundary ranks computed and the rows
+    those ranks reduced after clearing, the last two summed over the
+    workers. With threads > 1 a pool computes one strided share of the
+    cores per task, each task building the boundary rows its cores need
+    from the faces; nothing depends on threads. There is one task per
+    thread, or per usable CPU where there are fewer, and the pool has one
+    worker per task; with one usable CPU the sweep runs serially, as it
+    does for threads < 1 and threads = 1. The groups grow in the main
+    process: a task per group would ship the D_v and degree masks, which
+    cost more than the growth.
     """
     threads = max(1, threads)
-    # each phase gets one share per thread, but no more shares than usable
-    # CPUs: further shares only time-slice, and each costs its own memo,
-    # pickling and cache refills; a worker beyond the shares would get none
-    shares = min(threads, _usable_cpus())
+    # one task per thread, but no more tasks than usable CPUs: further tasks
+    # only time-slice, and each costs its own rows, pickling and cache
+    # refills; a worker beyond the tasks would get none
+    tasks = min(threads, _usable_cpus())
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     used = 0
     for g in gens:
@@ -589,55 +528,59 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     if used.bit_count() > MAX_ORACLE_VARS:
         raise GuardExceeded(f"{used.bit_count()} variables exceed the cap of {MAX_ORACLE_VARS}")
     # from here on the used variables are renumbered 0..u-1 in their order,
-    # which keeps every order below and makes each union a subset index
+    # which keeps every order below and makes each union a subset index; the
+    # x variables come first
     places = _bits(used)
+    xcount = (used & ((1 << ideal.n) - 1)).bit_count()
     gens = [_renumbered(g, places) for g in gens]
-    xmask = _renumbered((1 << ideal.n) - 1, places)
-    used = (1 << len(places)) - 1
-    holding = _holding(len(places))
+    u = len(places)
+    used = (1 << u) - 1
+    holding = _holding(u)
     closure = _support_unions(gens, holding)
-    table = _domination_table(gens, used)
-    # only the unions that are no cones are reduced
-    kept = closure ^ (closure & _cone_subsets(closure, table, holding))
-    # both maps are lazy, and the pool's imap starts its tasks at once, so
-    # the faces are listed while the pool reduces
-    run = map if shares == 1 else _worker_pool(shares).imap
-    # one task per share and phase, as each further task would cost the pool
-    # a round trip; a worker gets its range's flags, 0 or 1 per subset, and
-    # picks out its own unions
-    flags = format(kept, "b")[::-1].encode().translate(_FLAGS)
-    cuts = _shares(kept, shares, holding)
-    reduced = run(_reduce_chunk, [(xmask, a, flags[a:b], table) for a, b in zip(cuts, cuts[1:])])
-    faces_by_size = _faces(gens, used)
-    credits: dict[int, dict[tuple[int, int], int]] = {}
-    for part in reduced:
-        for core, keys in part.items():
-            at = credits.setdefault(core, {})
-            for key, mult in keys.items():
-                at[key] = at.get(key, 0) + mult
-    # the cores' homology is most of the work on non-quadratic ideals, so it
-    # is split over the pool too; each task gets the faces and builds the
-    # avoiding masks and boundary rows it needs
-    cores = sorted(credits, key=lambda c: (c.bit_count(), c))
-    held = faces_by_size[: cores[-1].bit_count() + 1]  # no core holds a larger face
-    _check_row_bits(held)
-    homologies = run(_core_homology, [(cores[i::shares], held, used) for i in range(shares)])
-    # every merge is a sum, so scheduling order cannot change the result
-    counts: dict[tuple[int, int, int], int] = {}
+    dominated = _dominated(_domination_table(gens, used), holding)
+    anywhere = 0
+    for d in dominated:
+        anywhere |= d
+    cores = sorted(_members(closure & ~anywhere), key=lambda c: (c.bit_count(), c))
+    # the faces per size, counted before any is listed: a non-face holds a
+    # generator, that is each of its vertices
+    sizes = _sizes(u)
+    faces = (1 << (1 << u)) - 1
+    for g in gens:
+        inside = faces
+        for v in _bits(g):
+            inside &= holding[v.bit_length() - 1]
+        faces &= ~inside
+    _check_row_bits([(faces & m).bit_count() for m in sizes[: cores[-1].bit_count() + 1]])
+    run = map if tasks == 1 else _worker_pool(tasks).imap
+    # no core holds a larger face
+    held = _faces(gens, used)[: cores[-1].bit_count() + 1]
+    homologies = run(_core_homology, [(cores[i::tasks], held, used) for i in range(tasks)])
+    xsizes = [_tiled(m, 1 << xcount, u) for m in _sizes(xcount)]
+    groups: dict[tuple[tuple[int, int], ...], int] = {}
     rank_calls = reduced = 0
     for part, part_calls, part_rows in homologies:
         rank_calls += part_calls
         reduced += part_rows
         for core, dims in part:
-            for (size, u), mult in credits[core].items():
-                for d, h in dims.items():
-                    key = (size - d - 1, u, size - u)
-                    counts[key] = counts.get(key, 0) + h * mult
+            key = tuple(sorted(dims.items()))
+            groups[key] = groups.get(key, 0) | 1 << core
+    # a union's core is unique up to isomorphism, so it grows into the group
+    # of its own homology only, and each union is counted once
+    counts: dict[tuple[int, int, int], int] = {}
+    kept = 0
+    for dims, members in groups.items():
+        grown = _grow(members, dominated)
+        kept += grown.bit_count()
+        for (size, a), mult in _degrees(grown, sizes, xsizes).items():
+            for d, h in dims:
+                key = (size - d - 1, a, size - a)
+                counts[key] = counts.get(key, 0) + h * mult
     work = {
         "restrictions": closure.bit_count(),
-        "cones": closure.bit_count() - kept.bit_count(),
+        "cones": closure.bit_count() - kept,
         "cores": len(cores),
-        "faces": sum(map(len, faces_by_size)),
+        "faces": faces.bit_count(),
         "rank_calls": rank_calls,
         "rows": reduced,
     }

@@ -145,21 +145,6 @@ def plain_core(sigma, table):
     return sigma
 
 
-def plain_reduce(xmask, sigmas, table):
-    """Reference (cones, credits) of a list of unions by `plain_core`, for cross-checks only."""
-    cones = 0
-    credits = {}
-    for sigma in sigmas:
-        core = plain_core(sigma, table)
-        if core is None:
-            cones += 1
-            continue
-        key = (sigma.bit_count(), (sigma & xmask).bit_count())
-        at = credits.setdefault(core, {})
-        at[key] = at.get(key, 0) + 1
-    return cones, credits
-
-
 def sweep_betti_table(ideal):
     """Reference Betti table by the plain restriction sweep, for cross-checks only.
 

@@ -39,7 +39,6 @@ from conftest import (
     plain_core,
     plain_faces,
     plain_homology_dims,
-    plain_reduce,
     set_support_unions,
     sweep_betti_table,
 )
@@ -102,15 +101,15 @@ def test_restricted_homology_refuses_a_set_that_is_no_set_of_variables(monkeypat
 
 def test_row_bits_guard_bounds():
     # the 16-vertex full simplex (C(32,15) bits, 67 MiB) is admitted, the 17-vertex one is not
-    oracle_module._check_row_bits([range(comb(16, s)) for s in range(17)])
+    oracle_module._check_row_bits([comb(16, s) for s in range(17)])
     with pytest.raises(GuardExceeded, match="exceed the cap of 1073741824"):
-        oracle_module._check_row_bits([range(comb(17, s)) for s in range(18)])
+        oracle_module._check_row_bits([comb(17, s) for s in range(18)])
     # so is the 48,167-face cubic ideal on all its face sizes
     cubic = _cubic_ideal(10, 9, seed=5)
     places, gens = _renumbered_gens([g.support_mask(10) for g in cubic.gens])
     faces_by_size = oracle_module._faces(gens, (1 << len(places)) - 1)
     assert sum(map(len, faces_by_size)) == 48_167
-    oracle_module._check_row_bits(faces_by_size)
+    oracle_module._check_row_bits(list(map(len, faces_by_size)))
 
 
 def test_restricted_homology_refuses_large_rows_before_building_them(monkeypatch):
@@ -137,6 +136,18 @@ def test_oracle_sweep_refuses_large_rows_before_building_them(monkeypatch):
     finally:
         if oracle_module._POOL is not None:
             oracle_module._POOL[2].terminate()
+
+
+def test_oracle_sweep_refuses_large_rows_before_listing_faces(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_faces", _refuse_faces)
+    monkeypatch.setattr(oracle_module, "_worker_pool", _refuse_pool)
+    # 5 disjoint degree-4 generators on 20 variables: the whole set is a core,
+    # the join of five 3-simplex boundaries, whose 759,375 faces need about
+    # 7.7e10 bits of rows; the face counts refuse it before any face is listed
+    quads = SquarefreeIdeal(10, tuple(SquarefreeMonomial(m & 0x3FF, m >> 10) for m in (0b1111 << 4 * k for k in range(5))))
+    for threads in (1, 2):
+        with pytest.raises(GuardExceeded, match="boundary rows of 76644629540 bits"):
+            oracle_sweep(quads, threads=threads)
 
 
 def test_variable_mask():
@@ -442,42 +453,58 @@ def test_bitset_closure_on_explicit_cases():
         assert unions == set_support_unions(gens)
 
 
-@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=40), st.integers(1, 5))
-@settings(max_examples=100, deadline=None)
-def test_shares_split_the_unions_evenly(subsets, parts):
-    closure = sum(1 << s for s in set(subsets)) | 1
-    cuts = oracle_module._shares(closure, parts, oracle_module._holding(12))
-    assert cuts[0] == 0 and cuts[-1] == closure.bit_length() and cuts == sorted(cuts)
-    # a share weighs its unions' vertices: each cut falls just before the
-    # union that would take the weight below it past its even share
-    unions = sorted(set(subsets) | {0})
-    total = sum(s.bit_count() for s in unions)
-    for i, cut in enumerate(cuts[1:-1], 1):
-        below = sum(s.bit_count() for s in unions if s < cut)
-        after = [s for s in unions if s >= cut]
-        assert below <= total * i // parts
-        assert not after or below + after[0].bit_count() > total * i // parts
+def _minimal(supports):
+    masks = {sum(1 << v for v in support) for support in supports}
+    return sorted(m for m in masks if not any(o != m and o & ~m == 0 for o in masks))
 
 
-@given(st.one_of(st_ideals(), EDGES.map(_edge_ideal)), st.data())
+# 2 to 10 variables: generators of degree 1 to 4, or edges only
+SMALL_GENS = st.integers(2, 10).flatmap(
+    lambda u: st.one_of(
+        st.lists(st.sets(st.integers(0, u - 1), min_size=1, max_size=4), max_size=8),
+        st.lists(st.sets(st.integers(0, u - 1), min_size=2, max_size=2), max_size=16),
+    )
+).map(_minimal)
+
+
+@given(SMALL_GENS)
 @settings(max_examples=100, deadline=None)
-def test_memoised_reduction_equals_the_plain_loop(ideal_r, data):
-    places, gens = _renumbered_gens([g.support_mask(ideal_r.n) for g in ideal_r.gens])
-    used = (1 << len(places)) - 1
-    xmask = oracle_module._renumbered((1 << ideal_r.n) - 1, places)
+def test_cores_and_groups_equal_the_plain_loop(gens):
+    places, gens = _renumbered_gens(gens)
+    u = len(places)
+    used = (1 << u) - 1
+    holding = oracle_module._holding(u)
     table = oracle_module._domination_table(gens, used)
-    holding = oracle_module._holding(len(places))
     closure = oracle_module._support_unions(gens, holding)
-    # the kept unions, the only ones the sweep reduces
-    kept = closure ^ (closure & oracle_module._cone_subsets(closure, table, holding))
-    flags = bytes(int(digit) for digit in reversed(format(kept, "b")))
-    # any range of subsets, as a worker's share would be
-    a = data.draw(st.integers(0, len(flags)))
-    b = data.draw(st.integers(a, len(flags)))
-    memoised = oracle_module._reduce_chunk((xmask, a, flags[a:b], table))
+    dominated = oracle_module._dominated(table, holding)
+    anywhere = 0
+    for d in dominated:
+        anywhere |= d
+    cores = _subsets_of(closure & ~anywhere)
     plain_table = {w: pairs for w, (_, pairs) in table.items()}
-    sigmas = [s for s in range(a, b) if flags[s]]
-    assert plain_reduce(xmask, sigmas, plain_table) == (0, memoised)
+    plain = {s: plain_core(s, plain_table) for s in _subsets_of(closure)}
+    kept = {s for s, core in plain.items() if core is not None}
+    # the cores bitset holds exactly the cores the plain loop reaches
+    assert set(cores) == {plain[s] for s in kept}
+    # each group of cores with one homology grows to the kept unions whose
+    # plain core has that homology, and the cones and groups split the unions
+    faces_by_size = oracle_module._faces(gens, used)
+    homologies, _, _ = oracle_module._core_homology((cores, faces_by_size, used))
+    groups = {}
+    for core, dims in homologies:
+        key = tuple(sorted(dims.items()))
+        groups[key] = groups.get(key, 0) | 1 << core
+    cones = oracle_module._grow(((1 << (1 << u)) - 1) ^ closure, dominated)
+    parts = [cones & closure] + [oracle_module._grow(members, dominated) for members in groups.values()]
+    assert sum(p.bit_count() for p in parts) == closure.bit_count()
+    union = 0
+    for p in parts:
+        union |= p
+    assert union == closure
+    assert set(_subsets_of(parts[0])) == set(plain) - kept
+    for dims, grown in zip(groups, parts[1:]):
+        for s in _subsets_of(grown):
+            assert tuple(sorted(plain_homology_dims(plain_faces(gens, plain[s])).items())) == dims
 
 
 def _cone_unions(ideal_r):
@@ -486,7 +513,8 @@ def _cone_unions(ideal_r):
     holding = oracle_module._holding(len(places))
     table = oracle_module._domination_table(gens, (1 << len(places)) - 1)
     closure = oracle_module._support_unions(gens, holding)
-    prepass = set(_subsets_of(closure & oracle_module._cone_subsets(closure, table, holding)))
+    non_unions = ((1 << (1 << len(places))) - 1) ^ closure
+    prepass = set(_subsets_of(closure & oracle_module._grow(non_unions, oracle_module._dominated(table, holding))))
     plain_table = {w: pairs for w, (_, pairs) in table.items()}
     plain = {s for s in _subsets_of(closure) if plain_core(s, plain_table) is None}
     return prepass, plain
@@ -513,19 +541,23 @@ def test_cone_prepass_on_explicit_cases():
     assert len(prepass) == 35_080  # c11's
 
 
-def test_sweep_reduces_only_the_unions_that_are_no_cones(monkeypatch):
+def test_sweep_computes_homology_only_for_the_cores(monkeypatch):
     _, code = random_pierced_code(11, seed=3)
     ideal_c = polarized_ideal(canonical_form(code), code.n)
-    reduced = []  # per chunk, its unions
-    real = oracle_module._reduce_chunk
+    computed = []  # per task, its cores
+    real = oracle_module._core_homology
 
     def recording(args):
-        reduced.append(sum(args[2]))
+        computed.append(args[0])
         return real(args)
 
-    monkeypatch.setattr(oracle_module, "_reduce_chunk", recording)
+    monkeypatch.setattr(oracle_module, "_core_homology", recording)
     _, work = oracle_sweep(ideal_c)
-    assert reduced == [work["restrictions"] - work["cones"]] == [5_449]
+    assert len(computed) == 1 and len(set(computed[0])) == len(computed[0]) == work["cores"] == 169
+    # no union gets its homology computed unless no vertex is dominated in it
+    places, gens = _renumbered_gens([g.support_mask(ideal_c.n) for g in ideal_c.gens])
+    table = {w: pairs for w, (_, pairs) in oracle_module._domination_table(gens, (1 << len(places)) - 1).items()}
+    assert all(plain_core(core, table) == core for core in computed[0])
 
 
 def _general_ideal(seed):
@@ -557,6 +589,17 @@ def _refuse_pool(threads):
     raise AssertionError("a sweep with one usable CPU must not start a pool")
 
 
+class _RecordingPool:
+    """A stand-in pool that runs its tasks in this process and records (workers, task) for each."""
+
+    def __init__(self, workers, tasks):
+        self.workers, self.tasks = workers, tasks
+
+    def imap(self, func, args):
+        self.tasks.extend((self.workers, a) for a in args)
+        return map(func, args)
+
+
 def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     ideal_c = _general_ideal(2)
     serial = oracle_sweep(ideal_c, threads=1)
@@ -564,14 +607,17 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(oracle_module, "_worker_pool", _refuse_pool)
     assert oracle_sweep(ideal_c, threads=4) == serial
-    # more usable CPUs than workers: one share per worker
+    # more usable CPUs than workers: one share of the cores per worker, each
+    # core in one share, and the shares within one core of each other
     monkeypatch.undo()
-    asked = []
-    real = oracle_module._shares
+    shares = []
     monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(oracle_module, "_shares", lambda closure, parts, holding: asked.append(parts) or real(closure, parts, holding))
+    monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: _RecordingPool(workers, shares))
     assert oracle_sweep(ideal_c, threads=3) == serial
-    assert asked == [3]
+    assert [workers for workers, _ in shares] == [3, 3, 3]
+    cores = [core for _, (part, _, _) in shares for core in part]
+    assert len(cores) == len(set(cores)) == serial[1]["cores"]
+    assert max(len(part) for _, (part, _, _) in shares) - min(len(part) for _, (part, _, _) in shares) <= 1
     # more workers than usable CPUs: the pool has one worker per share
     monkeypatch.undo()
     asked = []
