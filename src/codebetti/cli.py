@@ -282,26 +282,31 @@ def cmd_chordal(args, report: RunReport) -> str:
 
 
 _STEP_RE = re.compile(
-    r"^step\s+(\d+):\s*sigma=\{([0-9,\s]*)\}\s*tau=\{([0-9,\s]*)\}"
+    r"step\s+(\d+):\s*sigma=\{([0-9,\s]*)\}\s*tau=\{([0-9,\s]*)\}(?:\s+k=(\d+)\s+l=(\d+))?"
 )
 
 
 def parse_steps(text: str) -> PiercingOrder:
     """Read steps in the rendered format, e.g. "step 5: sigma={3} tau={2,3} k=1 l=1".
 
-    Comments and the optional "n=" header follow LineReader; every index is
-    capped at MAX_NEURONS before it becomes a bit.
+    The "k= l=" tail may be left out; where it is given it must read the
+    step's own k and l as rendered, and nothing may follow it. Comments and
+    the optional "n=" header follow LineReader; every index is capped at
+    MAX_NEURONS before it becomes a bit.
     """
     reader = LineReader(text, MAX_NEURONS)
     steps = []
     for line in reader:
-        m = _STEP_RE.match(line)
+        m = _STEP_RE.fullmatch(line)
         if m is None:
             raise reader.fail(f"not a piercing step: {line!r}")
         sigma, tau = (
             mask_of(reader.index(tok) for tok in csv.split(",") if tok.strip()) for csv in m.group(2, 3)
         )
-        steps.append(PiercingStep(reader.index(m.group(1)), sigma, tau))
+        step = PiercingStep(reader.index(m.group(1)), sigma, tau)
+        if m.group(4) is not None and m.group(4, 5) != (str(step.k), str(step.ell)):
+            raise reader.fail(f"step {step.neuron} has k={step.k} l={step.ell}, not k={m.group(4)} l={m.group(5)}")
+        steps.append(step)
     return PiercingOrder(tuple(steps))
 
 

@@ -21,6 +21,11 @@ subsets; it never reduces a union on its own:
   adjacent and N(w) lies in N(v) (*Complexes of directed trees and
   independence complexes*, Discrete Math. 2009). One bitset per vertex v,
   D_v, holds the unions in which v is dominated.
+- The faces are one more bitset, the subsets that hold no generator. They
+  are counted per size and checked against `MAX_ROW_BITS` before any is
+  listed; each size's faces are then listed in increasing order.
+  `restricted_homology` takes the same path (`_listed_faces`) on sigma's
+  vertices, renumbered 0..u-1.
 - The cores are the unions in which no vertex is dominated. The homology
   of each is computed once, by bit-packed Gaussian elimination. Each cores
   task builds a face size's boundary rows, over the positions of the
@@ -61,9 +66,10 @@ from .pseudomonomials import canonical_form
 
 
 # size guards, each checked before the work it bounds
-MAX_HOMOLOGY_VERTICES = 24  # restricted_homology: vertices of one restriction
 # betti_table_oracle: distinct variables in the generators; this also bounds the
-# restrictions swept, as 20 variables have at most 2^20 unions of supports
+# restrictions swept, as 20 variables have at most 2^20 unions of supports.
+# restricted_homology: vertices of one restriction. Either way each bitset
+# over the 2^u subsets is at most 128 KiB
 MAX_ORACLE_VARS = 20
 # oracle_sweep and restricted_homology: bits of the dense boundary rows,
 # sum over s of |F_s| * |F_(s-1)|; 2^30 bits (128 MiB) admit the 16-vertex
@@ -180,43 +186,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _faces(gens, within: int):
-    """Faces of the complex restricted to `within`, grouped by size; a face contains no generator support.
-
-    Faces grow one vertex at a time, in increasing bit order: a face plus a
-    vertex b is a face unless it contains a generator through b.
-    """
-    vertices = _bits(within)
-    # face + b contains a generator g through b iff face holds rest = g - b;
-    # the one-vertex rests of b go into one neighbour mask, and an empty
-    # rest (b is a generator) blocks every face
-    neighbours = [0] * len(vertices)
-    rests: list[list[int]] = [[] for _ in vertices]
-    for i, b in enumerate(vertices):
-        for g in gens:
-            if g & b and g & ~within == 0:
-                rest = g ^ b
-                if rest and rest & (rest - 1) == 0:
-                    neighbours[i] |= rest
-                else:
-                    rests[i].append(rest)
-    by_size: list[list[int]] = [[] for _ in range(len(vertices) + 1)]
-    by_size[0].append(0)
-    frontier = [(0, 0)]  # (face, index of the first vertex it may still take)
-    for size in range(1, len(by_size)):
-        grown = []
-        for face, start in frontier:
-            for i in range(start, len(vertices)):
-                if face & neighbours[i] or rests[i] and any(r & ~face == 0 for r in rests[i]):
-                    continue
-                grown.append((face | vertices[i], i + 1))
-        if not grown:
-            break
-        by_size[size] = [face for face, _ in grown]
-        frontier = grown
-    return by_size
-
-
 @dataclass(frozen=True)
 class HomologyResult:
     """Reduced F2 homology dimensions keyed by simplicial degree."""
@@ -244,11 +213,15 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     mask = sigma if isinstance(sigma, int) else variable_mask(ideal.n, sigma)
     if mask < 0 or mask >> 2 * ideal.n:
         raise ValueError(f"mask {mask:#x} is no set of the {2 * ideal.n} variables for n={ideal.n}")
-    if mask.bit_count() > MAX_HOMOLOGY_VERTICES:
-        raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_HOMOLOGY_VERTICES}")
+    if mask.bit_count() > MAX_ORACLE_VARS:
+        raise GuardExceeded(f"{mask.bit_count()} vertices exceed the cap of {MAX_ORACLE_VARS}")
+    # sigma's vertices renumbered 0..u-1, as in the sweep; a generator that
+    # leaves sigma bounds no face of the restriction
+    places = _bits(mask)
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
-    faces_by_size = _faces(gens, mask)
-    _check_row_bits(list(map(len, faces_by_size)))
+    gens = [_renumbered(g, places) for g in gens if g & ~mask == 0]
+    u = len(places)
+    faces_by_size = _listed_faces(gens, _holding(u), _sizes(u))[1]
     dims = _homology_dims(faces_by_size, {}, [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return HomologyResult(tuple(sorted(dims.items())))
 
@@ -300,6 +273,25 @@ def _members(mask: int) -> list[int]:
         out.append(i)
         i = digits.find("1", i + 1)
     return out
+
+
+def _listed_faces(gens, holding: list[int], sizes: list[int]) -> tuple[int, list[list[int]]]:
+    """The faces on vertices 0..u-1, as a bitset over the 2^u subsets and listed per mask in sizes.
+
+    A non-face holds a generator, that is each of its vertices. The faces
+    in each mask of sizes are counted, and `_check_row_bits` refuses them,
+    before any is listed; each list is in increasing order. holding is
+    `_holding(u)`, and sizes `_sizes(u)` or a prefix of it.
+    """
+    faces = (1 << (1 << len(holding))) - 1
+    for g in gens:
+        inside = faces
+        for v in _bits(g):
+            inside &= holding[v.bit_length() - 1]
+        faces &= ~inside
+    levels = [faces & m for m in sizes]
+    _check_row_bits([level.bit_count() for level in levels])
+    return faces, [_members(level) for level in levels]
 
 
 def _support_unions(gens, holding: list[int]) -> int:
@@ -542,19 +534,10 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     for d in dominated:
         anywhere |= d
     cores = sorted(_members(closure & ~anywhere), key=lambda c: (c.bit_count(), c))
-    # the faces per size, counted before any is listed: a non-face holds a
-    # generator, that is each of its vertices
     sizes = _sizes(u)
-    faces = (1 << (1 << u)) - 1
-    for g in gens:
-        inside = faces
-        for v in _bits(g):
-            inside &= holding[v.bit_length() - 1]
-        faces &= ~inside
-    _check_row_bits([(faces & m).bit_count() for m in sizes[: cores[-1].bit_count() + 1]])
-    run = map if tasks == 1 else _worker_pool(tasks).imap
     # no core holds a larger face
-    held = _faces(gens, used)[: cores[-1].bit_count() + 1]
+    faces, held = _listed_faces(gens, holding, sizes[: cores[-1].bit_count() + 1])
+    run = map if tasks == 1 else _worker_pool(tasks).imap
     homologies = run(_core_homology, [(cores[i::tasks], held, used) for i in range(tasks)])
     xsizes = [_tiled(m, 1 << xcount, u) for m in _sizes(xcount)]
     groups: dict[tuple[tuple[int, int], ...], int] = {}

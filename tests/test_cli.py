@@ -323,6 +323,32 @@ def test_generate_replays_steps(tmp_path, worked_file, capsys):
     assert body == "n=5\n" + WORKED
 
 
+def test_generate_replays_steps_without_their_k_and_l(tmp_path, capsys):
+    bare, full = tmp_path / "bare.steps", tmp_path / "full.steps"
+    bare.write_text("step 1: sigma={} tau={}\nstep 2: sigma={} tau={1}\n")
+    full.write_text("step 1: sigma={} tau={} k=0 l=0\nstep 2: sigma={} tau={1} k=1 l=0\n")
+    assert run(capsys, "generate", "--steps", str(bare)) == run(capsys, "generate", "--steps", str(full))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("step 2: sigma={} tau={1} k=9 l=4 whatever", "not a piercing step"),
+        ("step 2: sigma={} tau={1} k=9 l=4", "step 2 has k=1 l=0, not k=9 l=4"),
+        ("step 2: sigma={} tau={1} k=1 l=1", "step 2 has k=1 l=0, not k=1 l=1"),
+        ("step 2: sigma={} tau={1} k=1 l=0 whatever", "not a piercing step"),
+        ("step 2: sigma={} tau={1} k=1", "not a piercing step"),
+        ("step 2: sigma={} tau={1} whatever", "not a piercing step"),
+    ],
+)
+def test_generate_refuses_a_step_with_a_wrong_k_and_l_or_trailing_text(tmp_path, capsys, line, message):
+    steps = tmp_path / "steps.txt"
+    steps.write_text(f"step 1: sigma={{}} tau={{}} k=0 l=0\n{line}\n")
+    rc, out, err = run(capsys, "generate", "--steps", str(steps))
+    assert rc == 2 and out == ""
+    assert "line 2: " in err and message in err
+
+
 def test_generate_refuses_negative_kmax(capsys):
     rc, out, err = run(capsys, "generate", "--n", "3", "--kmax", "-1")
     assert rc == 2 and out == ""

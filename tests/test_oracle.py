@@ -2,11 +2,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from codebetti import (
     Graph,
@@ -86,7 +87,7 @@ def _refuse_rows(faces_by_size, rows, picked):
     raise AssertionError("the boundary rows must not be built for a refused input")
 
 
-def _refuse_faces(gens, within):
+def _refuse_listing(mask):
     raise AssertionError("no face may be listed for a refused restriction")
 
 
@@ -94,7 +95,7 @@ def _refuse_faces(gens, within):
 def test_restricted_homology_refuses_a_set_that_is_no_set_of_variables(monkeypatch, sigma):
     # n = 2 has the variables 0..3: a negative mask has endless set bits, a
     # bit at 4 or above is no variable, and "" is no name
-    monkeypatch.setattr(oracle_module, "_faces", _refuse_faces)
+    monkeypatch.setattr(oracle_module, "_members", _refuse_listing)
     with pytest.raises(ValueError, match="no set of the 4 variables|bad variable"):
         restricted_homology(SquarefreeIdeal(2, ()), sigma)
 
@@ -107,7 +108,8 @@ def test_row_bits_guard_bounds():
     # so is the 48,167-face cubic ideal on all its face sizes
     cubic = _cubic_ideal(10, 9, seed=5)
     places, gens = _renumbered_gens([g.support_mask(10) for g in cubic.gens])
-    faces_by_size = oracle_module._faces(gens, (1 << len(places)) - 1)
+    u = len(places)
+    faces_by_size = oracle_module._listed_faces(gens, oracle_module._holding(u), oracle_module._sizes(u))[1]
     assert sum(map(len, faces_by_size)) == 48_167
     oracle_module._check_row_bits(list(map(len, faces_by_size)))
 
@@ -139,15 +141,52 @@ def test_oracle_sweep_refuses_large_rows_before_building_them(monkeypatch):
 
 
 def test_oracle_sweep_refuses_large_rows_before_listing_faces(monkeypatch):
-    monkeypatch.setattr(oracle_module, "_faces", _refuse_faces)
+    listed = []  # the set bits of each bitset listed
+    real = oracle_module._members
+
+    def recording(mask):
+        listed.append(mask.bit_count())
+        return real(mask)
+
+    monkeypatch.setattr(oracle_module, "_members", recording)
     monkeypatch.setattr(oracle_module, "_worker_pool", _refuse_pool)
     # 5 disjoint degree-4 generators on 20 variables: the whole set is a core,
     # the join of five 3-simplex boundaries, whose 759,375 faces need about
     # 7.7e10 bits of rows; the face counts refuse it before any face is listed
     quads = SquarefreeIdeal(10, tuple(SquarefreeMonomial(m & 0x3FF, m >> 10) for m in (0b1111 << 4 * k for k in range(5))))
     for threads in (1, 2):
+        listed.clear()
         with pytest.raises(GuardExceeded, match="boundary rows of 76644629540 bits"):
             oracle_sweep(quads, threads=threads)
+        # the only bitset listed holds the 32 cores, each union of the quads
+        assert listed == [32]
+
+
+def test_restricted_homology_refuses_large_rows_before_listing_faces(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_members", _refuse_listing)
+    monkeypatch.setattr(oracle_module, "_homology_dims", _refuse_rows)
+    # the 20-vertex full simplex has 2^20 faces, whose rows take C(40, 19)
+    # bits; its bitsets take a few MiB, a list of its faces takes tens
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match=f"boundary rows of {comb(40, 19)} bits"):
+            restricted_homology(SquarefreeIdeal(10, ()), (1 << 20) - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
+def test_restricted_homology_refuses_more_vertices_than_the_cap_before_any_work(monkeypatch):
+    for step in ("_holding", "_members"):
+        monkeypatch.setattr(oracle_module, step, _refuse_listing)
+    monkeypatch.setattr(oracle_module, "_homology_dims", _refuse_rows)
+    # every variable is a generator, so the restriction is {empty} and cheap
+    # to list; the cap refuses its 21 vertices all the same
+    points = SquarefreeIdeal(11, tuple(SquarefreeMonomial(1 << i, 0) for i in range(11))
+                             + tuple(SquarefreeMonomial(0, 1 << i) for i in range(11)))
+    with pytest.raises(GuardExceeded, match="21 vertices exceed the cap of 20"):
+        restricted_homology(points, (1 << 21) - 1)
 
 
 def test_variable_mask():
@@ -320,6 +359,27 @@ def test_restricted_homology_matches_the_plain_rank(ideal_r, data):
     assert restricted_homology(ideal_r, sigma).dims == tuple(sorted(plain.items()))
 
 
+@given(st_ideals().flatmap(lambda i: st.tuples(st.just(i), st.integers(0, (1 << (2 * i.n)) - 1))))
+@example((SquarefreeIdeal(3, ()), 0))
+@example((SquarefreeIdeal(3, ()), 0b110111))
+@example((J1, 0))
+@example((J1, 0b1111))
+@settings(max_examples=150, deadline=None)
+def test_listed_faces_equal_the_plain_faces(drawn):
+    ideal_r, sigma = drawn
+    gens = [g.support_mask(ideal_r.n) for g in ideal_r.gens]
+    places = oracle_module._bits(sigma)
+    u = len(places)
+    inside = [oracle_module._renumbered(g, places) for g in gens if g & ~sigma == 0]
+    faces, listed = oracle_module._listed_faces(inside, oracle_module._holding(u), oracle_module._sizes(u))
+    plain = plain_faces(gens, sigma)
+    assert len(listed) == len(plain) == u + 1
+    for s, (fs, ps) in enumerate(zip(listed, plain)):
+        assert fs == sorted(fs) and all(f.bit_count() == s for f in fs)
+        assert {sum(b for i, b in enumerate(places) if f >> i & 1) for f in fs} == set(ps)
+    assert faces == sum(1 << f for fs in listed for f in fs)
+
+
 @given(st_ideals(non_quadratic=True))
 @settings(max_examples=60, deadline=None)
 def test_reduced_engine_matches_plain_sweep_on_non_quadratic_ideals(ideal_r):
@@ -358,7 +418,7 @@ def test_reduced_engine_on_a_face_heavy_ideal():
 def test_avoiding_masks_hold_the_faces_without_each_vertex(used):
     # on used vertices with gaps too, so a digit off by one vertex shows
     gens = [0b11, 0b1001000, 0b0110010]
-    faces_by_size = oracle_module._faces([g & used for g in gens if g & ~used == 0], used)
+    faces_by_size = plain_faces(gens, used)
     avoiding = oracle_module._avoiding(faces_by_size, used)
     assert sorted(avoiding) == oracle_module._bits(used)
     for v, masks in avoiding.items():
@@ -488,7 +548,7 @@ def test_cores_and_groups_equal_the_plain_loop(gens):
     assert set(cores) == {plain[s] for s in kept}
     # each group of cores with one homology grows to the kept unions whose
     # plain core has that homology, and the cones and groups split the unions
-    faces_by_size = oracle_module._faces(gens, used)
+    faces_by_size = plain_faces(gens, used)
     homologies, _, _ = oracle_module._core_homology((cores, faces_by_size, used))
     groups = {}
     for core, dims in homologies:
