@@ -142,6 +142,7 @@ def cmd_pierced(args, report: RunReport) -> str:
     if (order is not None) != fast.pierced:
         raise CrossCheckMismatch(
             f"definitional verdict {order is not None} vs quadratic+chordal verdict {fast.pierced}"
+            f" on {args.codefile}"
         )
     if not fast.pierced:
         report.output = {"pierced": False, "reason": fast.reason, "cf_degrees": list(fast.cf_degrees)}
@@ -200,10 +201,15 @@ def cmd_betti(args, report: RunReport) -> str:
     names = sorted(tables)
     first = tables[names[0]]
     for name in names[1:]:
-        if tables[name] != first:
+        other = tables[name]
+        if other != first:
+            # every table is of the same code, so they differ in some entry
+            keys = first.as_dict.keys() | other.as_dict.keys()
+            key = min(k for k in keys if first.entry(*k) != other.entry(*k))
             raise CrossCheckMismatch(
-                f"{names[0]} and {name} tables differ\n"
-                f"{names[0]}: {first.to_json_dict()}\n{name}: {tables[name].to_json_dict()}"
+                f"{names[0]} and {name} tables differ on {args.codefile}; first at (w, u, v) = {key}:"
+                f" {names[0]} {first.entry(*key)}, {name} {other.entry(*key)}\n"
+                f"{names[0]}: {first.to_json_dict()}\n{name}: {other.to_json_dict()}"
             )
     report.output = dict(first.to_json_dict(), methods=names)
     human = first.render_triangle()
@@ -223,7 +229,10 @@ def _int_rows(data: dict, key: str, width: int) -> list:
 
 
 def cmd_invert(args, report: RunReport) -> str:
-    data = json.loads(_read(args.bettifile, report))
+    try:
+        data = json.loads(_read(args.bettifile, report))
+    except RecursionError:
+        raise ValueError("the Betti table file nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValueError("the top level of a Betti table file must be a JSON object")
     n = args.n if args.n is not None else data.get("n")

@@ -186,13 +186,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class HomologyResult:
-    """Reduced F2 homology dimensions keyed by simplicial degree."""
-
-    dims: tuple[tuple[int, int], ...]
-
-
 def variable_mask(n: int, names) -> int:
     """Mask in the 2n-variable bit space for names like "x3" or "y5"."""
     mask = 0
@@ -204,11 +197,12 @@ def variable_mask(n: int, names) -> int:
     return mask
 
 
-def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
+def restricted_homology(ideal: SquarefreeIdeal, sigma) -> tuple[tuple[int, int], ...]:
     """Reduced homology of the Stanley-Reisner complex restricted to the variables in sigma.
 
     sigma is an int mask in the 2n-variable layout, or an iterable of
-    variable names.
+    variable names. The result is the nonzero F2 dimensions as sorted
+    (degree, dimension) pairs.
     """
     mask = sigma if isinstance(sigma, int) else variable_mask(ideal.n, sigma)
     if mask < 0 or mask >> 2 * ideal.n:
@@ -223,7 +217,7 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> HomologyResult:
     u = len(places)
     faces_by_size = _listed_faces(gens, _holding(u), _sizes(u))[1]
     dims = _homology_dims(faces_by_size, {}, [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
-    return HomologyResult(tuple(sorted(dims.items())))
+    return tuple(sorted(dims.items()))
 
 
 def _renumbered(mask: int, places: list[int]) -> int:
@@ -319,37 +313,32 @@ def _dominated(table, holding: list[int]) -> list[int]:
     g through w whose B lacks v (see `_domination_table`); a subset that
     holds w holds g iff it holds every vertex of g - w. On the unions this
     is exact; off them it may miss a domination, never invent one. table
-    is `_domination_table` and holding `_holding`. Each big mask is one per
-    vertex or one per distinct set of pairs through w, never one per
-    generator.
+    is `_domination_table` and holding `_holding`. Per w, each pair's mask
+    is built once and ANDed into the mask of each candidate v its B lacks:
+    one big mask per candidate, never one per generator.
     """
     dominated = [0] * len(holding)
-    for w, (_, pairs) in table.items():
+    for w, pairs in table.items():
         held = holding[w.bit_length() - 1]
         # w dominates v in a union only if v lies in some B: a subset that
         # holds w but no generator through w is no union
         candidates = 0
         for _, b in pairs:
             candidates |= b
-        candidates &= ~w
-        # per candidate v, the pairs whose B lacks v, as a mask of pair
-        # indices; per such mask, the subsets holding w and none of those
-        # pairs' generators
-        lacking = {v: sum(1 << k for k, (_, b) in enumerate(pairs) if not b & v) for v in _bits(candidates)}
-        masks = dict.fromkeys(lacking.values(), held)
-        for k, (g, _) in enumerate(pairs):
-            users = [key for key in masks if key >> k & 1]
-            if users:
+        masks = {v: held for v in _bits(candidates & ~w)}
+        for g, b in pairs:
+            lacking = [v for v in masks if not b & v]
+            if lacking:
                 inside = held
                 for x in _bits(g ^ w):
                     inside &= holding[x.bit_length() - 1]
                 outside = held ^ inside
-                for key in users:
-                    masks[key] &= outside
-        for v, key in lacking.items():
+                for v in lacking:
+                    masks[v] &= outside
+        for v, mask in masks.items():
             i = v.bit_length() - 1
-            dominated[i] |= masks[key]
-    return [d & h for d, h in zip(dominated, holding)]
+            dominated[i] |= mask & holding[i]
+    return dominated
 
 
 def _grow(seeds: int, dominated: list[int]) -> int:
@@ -371,21 +360,18 @@ def _grow(seeds: int, dominated: list[int]) -> int:
         seeds = grown
 
 
-def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, int]]]]:
-    """Per vertex bit w, its reach and the pairs (g, B) for the generators g through w.
+def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
+    """Per vertex bit w, the pairs (g, B) for the generators g through w.
 
-    The reach is the union of the generators through w. B holds the
-    vertices v for which (g - w) + v contains a generator. v is dominated
-    by w inside sigma iff v lies in B for every such g inside sigma. For an
-    edge g = {w, x}, B is the neighbourhood of x.
+    B holds the vertices v for which (g - w) + v contains a generator. v is
+    dominated by w inside sigma iff v lies in B for every such g inside
+    sigma. For an edge g = {w, x}, B is the neighbourhood of x.
     """
     table = {}
     for w in _bits(used):
-        reach = 0
         pairs = []
         for g in gens:
             if g & w:
-                reach |= g
                 rest = g ^ w
                 # rest is a face, as the generators are minimal, so a
                 # generator h lies inside rest + v iff v is all h has beyond rest
@@ -395,7 +381,7 @@ def _domination_table(gens, used: int) -> dict[int, tuple[int, list[tuple[int, i
                     if extra & (extra - 1) == 0:
                         dominated |= extra
                 pairs.append((g, dominated))
-        table[w] = (reach, pairs)
+        table[w] = pairs
     return table
 
 
@@ -600,13 +586,12 @@ def pdim(table: BettiTable) -> int:
 class CharacterizationVerdict:
     """Cross-check record for the regularity-2 characterization."""
 
-    quadratic: bool
     reg_of_ideal: int
     pierced_by_definition: bool
     theorem_consistent: bool
 
 
-def regularity_characterization(code: NeuralCode, threads: int = 1) -> CharacterizationVerdict:
+def regularity_characterization(code: NeuralCode) -> CharacterizationVerdict:
     """Check (regularity of the polarized ideal == 2) against the definitional verdict.
 
     Hypotheses enforced: no silent or duplicate neurons, and a nonzero
@@ -622,7 +607,7 @@ def regularity_characterization(code: NeuralCode, threads: int = 1) -> Character
         raise HypothesisViolation("the ideal is zero; regularity is undefined")
     if any(f.degree != 2 for f in cf):
         raise HypothesisViolation("canonical form is not quadratic")
-    table = betti_table_oracle(polarized_ideal(cf, code.n), threads=threads)
+    table = betti_table_oracle(polarized_ideal(cf, code.n))
     reg = regularity(table, of_ideal=True)
     pierced = is_inductively_pierced(code) is not None
-    return CharacterizationVerdict(True, reg, pierced, (reg == 2) == pierced)
+    return CharacterizationVerdict(reg, pierced, (reg == 2) == pierced)

@@ -230,6 +230,15 @@ def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):
     assert message in err
 
 
+def test_invert_refuses_deeply_nested_json(tmp_path, capsys):
+    # the JSON decoder recurses once per bracket
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000 + "]" * 200_000)
+    rc, out, err = run(capsys, "invert", str(p))
+    assert rc == 2 and out == ""
+    assert err == "error: the Betti table file nests too deeply to parse\n"
+
+
 def _refuse_oracle(*args, **kwargs):
     raise AssertionError("the oracle must not run when --threads is rejected")
 
@@ -541,6 +550,17 @@ def test_cross_check_mismatch_exits_3(worked_file, capsys, monkeypatch):
     rc, out, err = run(capsys, "betti", worked_file, "--method", "all")
     assert rc == 3 and out == ""
     assert err.startswith("cross-check mismatch: formula and recursion tables differ")
+    # the report names the file and the first entry that differs, with both counts
+    assert worked_file in err
+    assert "(0, 0, 0): formula 1, recursion 2" in err
+
+
+def test_pierced_mismatch_names_the_file(worked_file, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_inductively_pierced", lambda code: None)
+    rc, out, err = run(capsys, "pierced", worked_file, "--certify")
+    assert rc == 3 and out == ""
+    assert err.startswith("cross-check mismatch: definitional verdict False vs quadratic+chordal verdict True")
+    assert worked_file in err
 
 
 def test_max_n_option_is_gone(worked_file, capsys):
