@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""End-to-end walkthrough of the 12-word demo code on five neurons.
+"""End-to-end walkthrough of the 12-word demo code on five neurons, read from data/demo_five_neurons.code.
 
 Prints the canonical form, polarized ideal, relationship graph, piercing
 structure, and the Betti table computed three independent ways.
 """
+
+from pathlib import Path
 
 from codebetti import (
     betti_recursive,
@@ -23,24 +25,11 @@ from codebetti import (
     steps_for_order,
 )
 
-DEMO = """
-0
-1
-2
-3
-4
-1 2
-1 4
-2 3
-2 4
-3 5
-1 2 4
-2 3 5
-"""
+DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_five_neurons.code"
 
 
 def main():
-    code = parse_code(DEMO)
+    code = parse_code(DEMO.read_text(encoding="utf-8"))
     print(f"code: n={code.n}, {len(code.words)} codewords")
 
     cf = canonical_form(code)

@@ -2,8 +2,9 @@
 """Sweep pierced codes and verify that all three Betti routes agree exactly.
 
 Exhausts every piercing-step sequence up to --max-n (deduplicated), then
-adds --random seeded codes on --random-n neurons.  Any disagreement prints
-the offending code and exits nonzero.
+adds --random seeded codes on --random-n neurons.  The tables are compared
+by the check behind `codebetti betti`; a disagreement prints its report and
+the offending code, and exits 1.
 """
 
 import argparse
@@ -22,18 +23,21 @@ from codebetti import (
     random_pierced_code,
     serialize_code,
 )
+from codebetti.cli import CrossCheckMismatch, agreed_table
 
 
 def check(code, order):
-    closed = multigraded_betti_closed(piercing_profile(order))
-    recursive = betti_recursive(order)
-    oracle = betti_table_oracle(polarized_ideal(canonical_form(code), code.n))
-    if not (closed == recursive == oracle):
-        print("DISAGREEMENT on code:", file=sys.stderr)
+    """True if the three routes agree on the code; otherwise print the mismatch report and the code."""
+    tables = {
+        "formula": multigraded_betti_closed(piercing_profile(order)),
+        "recursion": betti_recursive(order),
+        "oracle": betti_table_oracle(polarized_ideal(canonical_form(code), code.n)),
+    }
+    try:
+        agreed_table(tables, "the code below")
+    except CrossCheckMismatch as exc:
+        print(f"cross-check mismatch: {exc}", file=sys.stderr)
         print(serialize_code(code), file=sys.stderr)
-        print("closed   :", closed.entries, file=sys.stderr)
-        print("recursive:", recursive.entries, file=sys.stderr)
-        print("oracle   :", oracle.entries, file=sys.stderr)
         return False
     return True
 

@@ -183,6 +183,28 @@ def _betti_tables(args, code) -> dict[str, BettiTable]:
     return tables
 
 
+def agreed_table(tables: dict[str, BettiTable], source) -> BettiTable:
+    """The table every route computed for `source`, raising CrossCheckMismatch where two differ.
+
+    The report names the source, the first (w, u, v) where the tables
+    differ with both counts, and both tables.
+    """
+    names = sorted(tables)
+    first = tables[names[0]]
+    for name in names[1:]:
+        other = tables[name]
+        if other != first:
+            # every table is of the same code, so they differ in some entry
+            keys = first.as_dict.keys() | other.as_dict.keys()
+            key = min(k for k in keys if first.entry(*k) != other.entry(*k))
+            raise CrossCheckMismatch(
+                f"{names[0]} and {name} tables differ on {source}; first at (w, u, v) = {key}:"
+                f" {names[0]} {first.entry(*key)}, {name} {other.entry(*key)}\n"
+                f"{names[0]}: {first.to_json_dict()}\n{name}: {other.to_json_dict()}"
+            )
+    return first
+
+
 def cmd_betti(args, report: RunReport) -> str:
     if not 1 <= args.threads <= MAX_THREADS:
         raise ValueError(f"--threads must be between 1 and {MAX_THREADS}, got {args.threads}")
@@ -199,18 +221,7 @@ def cmd_betti(args, report: RunReport) -> str:
     else:
         raise ValueError("pass a code file or --ideal")
     names = sorted(tables)
-    first = tables[names[0]]
-    for name in names[1:]:
-        other = tables[name]
-        if other != first:
-            # every table is of the same code, so they differ in some entry
-            keys = first.as_dict.keys() | other.as_dict.keys()
-            key = min(k for k in keys if first.entry(*k) != other.entry(*k))
-            raise CrossCheckMismatch(
-                f"{names[0]} and {name} tables differ on {args.codefile}; first at (w, u, v) = {key}:"
-                f" {names[0]} {first.entry(*key)}, {name} {other.entry(*key)}\n"
-                f"{names[0]}: {first.to_json_dict()}\n{name}: {other.to_json_dict()}"
-            )
+    first = agreed_table(tables, args.codefile)
     report.output = dict(first.to_json_dict(), methods=names)
     human = first.render_triangle()
     if len(names) > 1:
@@ -218,14 +229,23 @@ def cmd_betti(args, report: RunReport) -> str:
     return human
 
 
-def _int_rows(data: dict, key: str, width: int) -> list:
-    """The list under key, checked to hold only lists of `width` integers."""
+def _int_entries(data: dict, key: str, width: int) -> dict:
+    """The list under key, checked to hold lists of `width` integers, as a dict from position to count.
+
+    A position listed twice is refused, so no copy silently wins.
+    """
     rows = data[key]
     if not isinstance(rows, list) or not all(
         isinstance(r, list) and len(r) == width and all(type(x) is int for x in r) for r in rows
     ):
         raise ValueError(f"\"{key}\" entries must be lists of {width} integers")
-    return rows
+    entries = {}
+    for *position, count in rows:
+        position = tuple(position)
+        if position in entries:
+            raise ValueError(f"\"{key}\" lists the entry {position} twice")
+        entries[position] = count
+    return entries
 
 
 def cmd_invert(args, report: RunReport) -> str:
@@ -245,15 +265,13 @@ def cmd_invert(args, report: RunReport) -> str:
     report.output = {"n": n}
     lines = []
     if "multigraded" in data:
-        entries = {(w, u, v): c for w, u, v, c in _int_rows(data, "multigraded", 4)}
-        table = BettiTable.from_dict(n, entries)
+        table = BettiTable.from_dict(n, _int_entries(data, "multigraded", 4))
         profile = invert_multigraded(table)
         report.output["jkl"] = [[k, l, c] for (k, l), c in profile.jkl]
         report.output["jk"] = list(profile.jk)
         lines += [profile.render(), profile.render_marginals()]
     elif "graded" in data:
-        graded = {(w, j): c for w, j, c in _int_rows(data, "graded", 3)}
-        jk = invert_graded(graded, n)
+        jk = invert_graded(_int_entries(data, "graded", 3), n)
         report.output["jk"] = list(jk)
         lines.append(" ".join(f"j{k}={c}" for k, c in enumerate(jk)))
     else:
@@ -282,8 +300,12 @@ def cmd_chordal(args, report: RunReport) -> str:
         count = 0
         for other in all_elimination_orderings(g):
             count += 1
-            if other.profile() != profile:
-                raise CrossCheckMismatch(f"ordering {other.order} has profile {other.profile()}")
+            other_profile = other.profile()
+            if other_profile != profile:
+                raise CrossCheckMismatch(
+                    f"elimination profiles differ on {args.graphfile}: MCS ordering {ordering.order}"
+                    f" has profile {profile}, ordering {other.order} has profile {other_profile}"
+                )
         report.output["orderings_checked"] = count
         report.output["profile_invariant"] = True
         lines.append(f"profile invariant across all {count} orderings")
@@ -321,12 +343,15 @@ def parse_steps(text: str) -> PiercingOrder:
 
 def cmd_generate(args, report: RunReport) -> str:
     if args.steps:
+        # checked before the file is read
+        if (args.n, args.kmax, args.seed) != (None, None, None):
+            raise ValueError("--steps takes none of --n, --kmax and --seed")
         order = parse_steps(_read(args.steps, report))
         code = build_code(order.steps)
     else:
         if args.n is None:
             raise ValueError("pass --n (or --steps FILE)")
-        order, code = random_pierced_code(args.n, kmax=args.kmax, seed=args.seed)
+        order, code = random_pierced_code(args.n, kmax=args.kmax, seed=args.seed or 0)
     body = serialize_code(code)
     trailer = "".join(f"# {s.render()}\n" for s in order.steps)
     report.output = {
@@ -402,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[common], help="emit a random pierced code, or replay steps")
     p.add_argument("--n", type=int, help="number of neurons")
     p.add_argument("--kmax", type=int, help="largest interval rank a step may pierce")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random code")
+    p.add_argument("--seed", type=int, help="seed for the random code (default 0)")
     p.add_argument("--steps", help="replay a steps file instead of sampling")
     p.set_defaults(func=cmd_generate)
 

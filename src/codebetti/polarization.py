@@ -68,49 +68,32 @@ def depolarize(m: SquarefreeMonomial) -> PseudoMonomial:
     return PseudoMonomial(m.xsupp, m.ysupp)
 
 
-def minimalize(monomials) -> list[SquarefreeMonomial]:
-    """Drop duplicates and every monomial divisible by another one.
+def _first_divisors(masks) -> list[int | None]:
+    """For each position, the first position before it whose mask divides its mask; None if none does.
 
-    Once duplicates are gone, a proper divisor has lower degree and sorts
-    first, so each monomial is compared only with the kept ones of lower
-    degree.
+    The masks must be sorted by bit count. A proper divisor has fewer bits,
+    so it sorts before its multiple: each mask is checked against the masks
+    of fewer bits, up to the first that divides it, and failing that
+    against its first copy, found by a dict lookup.
     """
-    uniq = sorted(set(monomials), key=SquarefreeMonomial.sort_key)
-    out: list[SquarefreeMonomial] = []
-    lower = 0  # the kept monomials below this position have lower degree than m
-    for m in uniq:
-        deg = m.degree
-        while lower < len(out) and out[lower].degree < deg:
-            lower += 1
-        if not any(out[k].divides(m) for k in range(lower)):
-            out.append(m)
-    return out
-
-
-def _first_divisor_pair(gens, n: int):
-    """The first pair (a, b) of sorted generators where a, at another position, divides b; None if minimal.
-
-    "First" is the order of a nested scan over a's position, then b's. A
-    proper divisor of b has lower degree, so it sorts before b: each b scans
-    only the generators of lower degree, up to the first that divides it,
-    and a repeated support is found at its later copy by a dict lookup.
-    """
-    masks = [g.support_mask(n) for g in gens]
-    first: dict[int, int] = {}  # support -> position of its first copy
-    for i, m in enumerate(masks):
-        first.setdefault(m, i)
-    best = None
-    lower = 0  # the generators below this position have lower degree than b
+    first: dict[int, int] = {}  # mask -> position of its first copy
+    out: list[int | None] = []
+    lower = 0  # the masks below this position have fewer bits than m
     for j, m in enumerate(masks):
         deg = m.bit_count()
         while masks[lower].bit_count() < deg:
             lower += 1
-        a = next((k for k in range(lower) if masks[k] & ~m == 0), None)
-        if a is None and first[m] != j:
-            a = first[m]
-        if a is not None and (best is None or (a, j) < best):
-            best = (a, j)
-    return None if best is None else (gens[best[0]], gens[best[1]])
+        copy = first.setdefault(m, j)
+        out.append(next((k for k in range(lower) if masks[k] & ~m == 0), None if copy == j else copy))
+    return out
+
+
+def minimalize(monomials) -> list[SquarefreeMonomial]:
+    """Drop duplicates and every monomial divisible by another one."""
+    uniq = sorted(set(monomials), key=SquarefreeMonomial.sort_key)
+    shift = max((m.xsupp.bit_length() for m in uniq), default=0)
+    divisors = _first_divisors([m.xsupp | m.ysupp << shift for m in uniq])
+    return [m for m, a in zip(uniq, divisors) if a is None]
 
 
 @dataclass(frozen=True)
@@ -130,10 +113,12 @@ class SquarefreeIdeal:
                 raise ValueError("the unit ideal is not representable")
             if g.xsupp & g.ysupp:
                 raise ValueError(f"generator {g.render()} is divisible by some x_i*y_i")
-        pair = _first_divisor_pair(self.gens, self.n)
-        if pair is not None:
-            a, b = pair
-            raise ValueError(f"{a.render()} divides {b.render()}: generators are not minimal")
+        divisors = _first_divisors([g.support_mask(self.n) for g in self.gens])
+        # a later copy dividing an earlier one is outranked by the reverse pair
+        pairs = [(a, b) for b, a in enumerate(divisors) if a is not None]
+        if pairs:
+            a, b = min(pairs)
+            raise ValueError(f"{self.gens[a].render()} divides {self.gens[b].render()}: generators are not minimal")
 
     @property
     def is_zero(self) -> bool:

@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import hashlib
 import io
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from codebetti import BettiTable, cli, oracle
 from codebetti.cli import main
+from codebetti.graphs import EliminationOrdering, all_elimination_orderings, chordality, parse_graph
 from conftest import WORKED_LINES
 
 WORKED = "\n".join(WORKED_LINES) + "\n"
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SCRIPTS = DATA.parent / "scripts"
 DEMO = DATA / "demo_five_neurons.code"
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden"
 
@@ -230,6 +234,23 @@ def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "key, rows, entry",
+    [
+        ("multigraded", [[0, 0, 0, 1], [1, 2, 0, 5], [1, 2, 0, 1]], "(1, 2, 0)"),
+        ("graded", [[0, 0, 1], [1, 2, 5], [1, 2, 1]], "(1, 2)"),
+    ],
+)
+def test_invert_refuses_a_repeated_entry(tmp_path, capsys, key, rows, entry):
+    # either copy could have won silently, whichever order the file lists them in
+    p = tmp_path / "table.json"
+    for ordered in (rows, rows[::-1]):
+        p.write_text(json.dumps({"n": 2, key: ordered}))
+        rc, out, err = run(capsys, "invert", str(p))
+        assert rc == 2 and out == ""
+        assert err == f'error: "{key}" lists the entry {entry} twice\n'
+
+
 def test_invert_refuses_deeply_nested_json(tmp_path, capsys):
     # the JSON decoder recurses once per bracket
     p = tmp_path / "deep.json"
@@ -276,6 +297,27 @@ def test_chordal_path(tmp_path, capsys):
     assert rc == 0
     assert "chordal" in out and "profile {0,1,1}" in out
     assert "all 4 orderings" in out
+
+
+def test_chordal_mismatch_names_the_file_and_both_profiles(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "path.graph"
+    p.write_text("1-2\n2-3\n3-4\n")
+    graph = parse_graph(p.read_text())
+    mcs = chordality(graph)
+    drifted = next(o for o in all_elimination_orderings(graph) if o.order != mcs.order)
+    real = EliminationOrdering.profile
+
+    def drifting(self):
+        profile = real(self)
+        return profile if self.order == mcs.order else profile[:-1] + (profile[-1] + 1,)
+
+    monkeypatch.setattr(EliminationOrdering, "profile", drifting)
+    rc, out, err = run(capsys, "chordal", str(p))
+    assert rc == 3 and out == ""
+    assert err == (
+        f"cross-check mismatch: elimination profiles differ on {p}: MCS ordering {mcs.order}"
+        f" has profile {real(mcs)}, ordering {drifted.order} has profile {drifting(drifted)}\n"
+    )
 
 
 def test_chordal_c4(tmp_path, capsys):
@@ -356,6 +398,20 @@ def test_generate_refuses_a_step_with_a_wrong_k_and_l_or_trailing_text(tmp_path,
     rc, out, err = run(capsys, "generate", "--steps", str(steps))
     assert rc == 2 and out == ""
     assert "line 2: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "options", [["--n", "3", "--seed", "9", "--kmax", "0"], ["--n", "5"], ["--kmax", "1"], ["--seed", "0"]]
+)
+def test_generate_refuses_steps_with_sampling_options(capsys, monkeypatch, options):
+    monkeypatch.setattr(cli, "_read", _refuse("_read"))
+    rc, out, err = run(capsys, "generate", "--steps", str(GOLDEN_INPUTS / "demo.steps"), *options)
+    assert rc == 2 and out == ""
+    assert err == "error: --steps takes none of --n, --kmax and --seed\n"
+
+
+def test_generate_seed_defaults_to_0(capsys):
+    assert run(capsys, "generate", "--n", "6") == run(capsys, "generate", "--n", "6", "--seed", "0")
 
 
 def test_generate_refuses_negative_kmax(capsys):
@@ -553,6 +609,31 @@ def test_cross_check_mismatch_exits_3(worked_file, capsys, monkeypatch):
     # the report names the file and the first entry that differs, with both counts
     assert worked_file in err
     assert "(0, 0, 0): formula 1, recursion 2" in err
+
+
+def test_agreement_sweep_reports_through_the_betti_check(capsys, monkeypatch):
+    spec = importlib.util.spec_from_file_location("triple_agreement_sweep", SCRIPTS / "triple_agreement_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    real = sweep.betti_recursive
+
+    def drifting(order):
+        table = real(order)
+        return BettiTable.from_dict(table.n, {**table.as_dict, (0, 0, 0): 2})
+
+    monkeypatch.setattr(sweep, "betti_recursive", drifting)
+    monkeypatch.setattr(sys, "argv", ["triple_agreement_sweep.py", "--max-n", "2", "--random", "0"])
+    assert sweep.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the report of `betti`'s check, then the code it was found on
+    head, tables, _, code = err.split("\n", 3)
+    assert head == (
+        "cross-check mismatch: formula and recursion tables differ on the code below;"
+        " first at (w, u, v) = (0, 0, 0): formula 1, recursion 2"
+    )
+    assert tables.startswith("formula: {")
+    assert code.startswith("n=")
 
 
 def test_pierced_mismatch_names_the_file(worked_file, capsys, monkeypatch):
