@@ -2,21 +2,22 @@
 """End-to-end walkthrough of the 12-word demo code on five neurons, read from data/demo_five_neurons.code.
 
 Prints the canonical form, polarized ideal, relationship graph, piercing
-structure, and the Betti table computed three independent ways.
+structure, and the Betti table computed three independent ways.  The tables
+are built and compared by the pipeline behind `codebetti betti`; a
+disagreement, or an alternative order that is refused or changes the
+profile, prints a `cross-check mismatch:` report and exits 1.
 """
 
+import sys
 from pathlib import Path
 
 from codebetti import (
-    betti_recursive,
-    betti_table_oracle,
     canonical_form,
     chordality,
     graded_betti_closed,
     invert_graded,
     invert_multigraded,
     is_inductively_pierced,
-    multigraded_betti_closed,
     parse_code,
     pdim_from_profile,
     piercing_profile,
@@ -24,11 +25,12 @@ from codebetti import (
     relationship_graph,
     steps_for_order,
 )
+from codebetti.cli import CrossCheckMismatch, agreed_table, betti_tables
 
 DEMO = Path(__file__).resolve().parent.parent / "data" / "demo_five_neurons.code"
 
 
-def main():
+def walkthrough():
     code = parse_code(DEMO.read_text(encoding="utf-8"))
     print(f"code: n={code.n}, {len(code.words)} codewords")
 
@@ -51,13 +53,15 @@ def main():
 
     for alt in [(1, 2, 3, 4, 5), (1, 4, 2, 3, 5)]:
         other = steps_for_order(code, alt)
-        same = piercing_profile(other) == profile
-        print(f"order {','.join(map(str, alt))} accepted; same profile: {same}")
+        if other is None or piercing_profile(other) != profile:
+            found = "is not a piercing order" if other is None else "has profile " + piercing_profile(other).render()
+            raise CrossCheckMismatch(
+                f"order {alt} of {DEMO} {found}; the search's order {order.order} has profile {profile.render()}"
+            )
+        print(f"order {','.join(map(str, alt))} accepted; same profile: True")
 
-    closed = multigraded_betti_closed(profile)
-    recursive = betti_recursive(order)
-    oracle = betti_table_oracle(ideal)
-    print("\nclosed form, recursion, and homology oracle agree:", closed == recursive == oracle)
+    closed = agreed_table(betti_tables(code, order=order), DEMO)
+    print("\nclosed form, recursion, and homology oracle agree: True")
     print("total Betti numbers:", closed.totals())
     print(closed.render_triangle())
 
@@ -66,5 +70,14 @@ def main():
     print("projective dimension:", pdim_from_profile(profile))
 
 
+def main():
+    try:
+        walkthrough()
+    except CrossCheckMismatch as exc:
+        print(f"cross-check mismatch: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

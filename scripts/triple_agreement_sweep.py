@@ -2,39 +2,26 @@
 """Sweep pierced codes and verify that all three Betti routes agree exactly.
 
 Exhausts every piercing-step sequence up to --max-n (deduplicated), then
-adds --random seeded codes on --random-n neurons.  The tables are compared
-by the check behind `codebetti betti`; a disagreement prints its report and
-the offending code, and exits 1.
+adds --random seeded codes on --random-n neurons.  The tables are built
+and compared by the pipeline behind `codebetti betti`; a disagreement
+prints its report and the offending code, and exits 1.
 """
 
 import argparse
 import sys
 import time
 
-from codebetti import (
-    betti_recursive,
-    betti_table_oracle,
-    canonical_form,
-    enumerate_pierced_codes,
-    is_inductively_pierced,
-    multigraded_betti_closed,
-    piercing_profile,
-    polarized_ideal,
-    random_pierced_code,
-    serialize_code,
-)
-from codebetti.cli import CrossCheckMismatch, agreed_table
+from codebetti import enumerate_pierced_codes, random_pierced_code, serialize_code
+from codebetti.cli import CrossCheckMismatch, agreed_table, betti_tables
 
 
-def check(code, order):
-    """True if the three routes agree on the code; otherwise print the mismatch report and the code."""
-    tables = {
-        "formula": multigraded_betti_closed(piercing_profile(order)),
-        "recursion": betti_recursive(order),
-        "oracle": betti_table_oracle(polarized_ideal(canonical_form(code), code.n)),
-    }
+def check(code, order=None):
+    """True if the three routes agree on the code; otherwise print the mismatch report and the code.
+
+    The formula and the recursion follow `order`, or the search's order when it is None.
+    """
     try:
-        agreed_table(tables, "the code below")
+        agreed_table(betti_tables(code, order=order), "the code below")
     except CrossCheckMismatch as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         print(serialize_code(code), file=sys.stderr)
@@ -53,7 +40,7 @@ def main():
     t0 = time.perf_counter()
     checked = 0
     for code in enumerate_pierced_codes(args.max_n, args.rank):
-        if not check(code, is_inductively_pierced(code)):
+        if not check(code):
             return 1
         checked += 1
     for seed in range(args.random):

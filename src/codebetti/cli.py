@@ -164,11 +164,14 @@ def cmd_pierced(args, report: RunReport) -> str:
     return "\n".join([head, profile.render(), order.render()])
 
 
-def _betti_tables(args, code) -> dict[str, BettiTable]:
+def betti_tables(code, methods=("formula", "recursion", "oracle"), order=None, threads=1) -> dict[str, BettiTable]:
+    """The Betti table of `code` by each route in `methods`, keyed by route.
+
+    The formula and the recursion follow the piercing order `order`; when it
+    is None, the search finds one. The oracle runs its sweep on `threads` workers.
+    """
     tables: dict[str, BettiTable] = {}
-    methods = ["formula", "recursion", "oracle"] if args.method in (None, "all") else [args.method]
-    order = None
-    if "formula" in methods or "recursion" in methods:
+    if order is None and ("formula" in methods or "recursion" in methods):
         order = is_inductively_pierced(code)
         if order is None:
             raise ValueError("the formula and recursion methods require an inductively pierced code")
@@ -179,7 +182,7 @@ def _betti_tables(args, code) -> dict[str, BettiTable]:
             tables[method] = betti_recursive(order)
         else:
             ideal = polarized_ideal(canonical_form(code), code.n)
-            tables[method] = betti_table_oracle(ideal, threads=args.threads)
+            tables[method] = betti_table_oracle(ideal, threads=threads)
     return tables
 
 
@@ -217,7 +220,8 @@ def cmd_betti(args, report: RunReport) -> str:
         ideal = parse_ideal(_read(args.ideal, report))
         tables = {"oracle": betti_table_oracle(ideal, threads=args.threads)}
     elif args.codefile:
-        tables = _betti_tables(args, _load_code(args, report))
+        methods = ("formula", "recursion", "oracle") if args.method in (None, "all") else (args.method,)
+        tables = betti_tables(_load_code(args, report), methods, threads=args.threads)
     else:
         raise ValueError("pass a code file or --ideal")
     names = sorted(tables)
@@ -279,6 +283,29 @@ def cmd_invert(args, report: RunReport) -> str:
     return "\n".join(lines)
 
 
+def checked_orderings(g, ordering, source) -> int:
+    """The number of elimination orderings of `g`, each checked to share the profile of `ordering`.
+
+    A differing profile raises CrossCheckMismatch, naming the source, both
+    orderings and both profiles; so does finding none, since `ordering` is one.
+    """
+    profile = ordering.profile()
+    count = 0
+    for other in all_elimination_orderings(g):
+        count += 1
+        other_profile = other.profile()
+        if other_profile != profile:
+            raise CrossCheckMismatch(
+                f"elimination profiles differ on {source}: MCS ordering {ordering.order}"
+                f" has profile {profile}, ordering {other.order} has profile {other_profile}"
+            )
+    if not count:
+        raise CrossCheckMismatch(
+            f"no elimination ordering of {source} found, though MCS ordering {ordering.order} is one"
+        )
+    return count
+
+
 def cmd_chordal(args, report: RunReport) -> str:
     g = parse_graph(_read(args.graphfile, report))
     ordering = chordality(g)
@@ -297,15 +324,7 @@ def cmd_chordal(args, report: RunReport) -> str:
         "simplicial degree profile {" + ",".join(map(str, profile)) + "}",
     ]
     if g.n <= PROFILE_CHECK_MAX_VERTICES:
-        count = 0
-        for other in all_elimination_orderings(g):
-            count += 1
-            other_profile = other.profile()
-            if other_profile != profile:
-                raise CrossCheckMismatch(
-                    f"elimination profiles differ on {args.graphfile}: MCS ordering {ordering.order}"
-                    f" has profile {profile}, ordering {other.order} has profile {other_profile}"
-                )
+        count = checked_orderings(g, ordering, args.graphfile)
         report.output["orderings_checked"] = count
         report.output["profile_invariant"] = True
         lines.append(f"profile invariant across all {count} orderings")

@@ -77,12 +77,6 @@ class NeuralCode:
     def sorted_words(self) -> list[int]:
         return sorted(self.words, key=lambda w: (w.bit_count(), indices_of(w)))
 
-    def active_mask(self) -> int:
-        m = 0
-        for w in self.words:
-            m |= w
-        return m
-
 
 class LineReader:
     """The line rules shared by the code, ideal, graph and steps file formats.
@@ -222,12 +216,18 @@ class CodeDiagnostics:
 
 
 def validate_code(code: NeuralCode) -> CodeDiagnostics:
-    """Pure report; silent neuron i means the degree-one monomial x_i vanishes on the code."""
-    active = code.active_mask()
-    silent = tuple(i for i in range(1, code.n + 1) if not active >> (i - 1) & 1)
-    dups = []
-    for i, j in combinations(range(1, code.n + 1), 2):
-        bi, bj = 1 << (i - 1), 1 << (j - 1)
-        if all(bool(w & bi) == bool(w & bj) for w in code.words):
-            dups.append((i, j))
-    return CodeDiagnostics(silent, tuple(dups))
+    """Pure report; silent neuron i means the degree-one monomial x_i vanishes on the code.
+
+    Each neuron's fires are the positions, in one pass over the words, of
+    the words it is in: a silent neuron has none, and two neurons fire
+    identically when their positions are equal.
+    """
+    fires = [[] for _ in range(code.n)]
+    for k, w in enumerate(code.words):
+        while w:
+            low = w & -w
+            fires[low.bit_length() - 1].append(k)
+            w ^= low
+    silent = tuple(i for i, f in enumerate(fires, 1) if not f)
+    dups = tuple((i, j) for (i, fi), (j, fj) in combinations(enumerate(fires, 1), 2) if fi == fj)
+    return CodeDiagnostics(silent, dups)

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from codebetti import BettiTable, cli, oracle
 from codebetti.cli import main
 from codebetti.graphs import EliminationOrdering, all_elimination_orderings, chordality, parse_graph
+from codebetti.piercing import PiercingOrder
 from conftest import WORKED_LINES
 
 WORKED = "\n".join(WORKED_LINES) + "\n"
@@ -611,17 +612,28 @@ def test_cross_check_mismatch_exits_3(worked_file, capsys, monkeypatch):
     assert "(0, 0, 0): formula 1, recursion 2" in err
 
 
-def test_agreement_sweep_reports_through_the_betti_check(capsys, monkeypatch):
-    spec = importlib.util.spec_from_file_location("triple_agreement_sweep", SCRIPTS / "triple_agreement_sweep.py")
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    real = sweep.betti_recursive
+def _script(name):
+    """The script scripts/<name>.py, loaded in-process as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _drifting_recursion(monkeypatch):
+    """Patch the CLI's recursion to count 2 at (0, 0, 0), where every other route counts 1."""
+    real = cli.betti_recursive
 
     def drifting(order):
         table = real(order)
         return BettiTable.from_dict(table.n, {**table.as_dict, (0, 0, 0): 2})
 
-    monkeypatch.setattr(sweep, "betti_recursive", drifting)
+    monkeypatch.setattr(cli, "betti_recursive", drifting)
+
+
+def test_agreement_sweep_reports_through_the_betti_check(capsys, monkeypatch):
+    sweep = _script("triple_agreement_sweep")
+    _drifting_recursion(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["triple_agreement_sweep.py", "--max-n", "2", "--random", "0"])
     assert sweep.main() == 1
     out, err = capsys.readouterr()
@@ -634,6 +646,76 @@ def test_agreement_sweep_reports_through_the_betti_check(capsys, monkeypatch):
     )
     assert tables.startswith("formula: {")
     assert code.startswith("n=")
+
+
+def test_worked_example_reports_through_the_betti_check(capsys, monkeypatch):
+    walk = _script("reproduce_worked_example")
+    _drifting_recursion(monkeypatch)
+    assert walk.main() == 1
+    out, err = capsys.readouterr()
+    # stdout stops before the agreement line
+    assert out.endswith("order 1,4,2,3,5 accepted; same profile: True\n")
+    head, tables, rest = err.split("\n", 2)
+    assert head == (
+        f"cross-check mismatch: formula and recursion tables differ on {DEMO};"
+        " first at (w, u, v) = (0, 0, 0): formula 1, recursion 2"
+    )
+    assert "data/demo_five_neurons.code" in head
+    assert tables.startswith("formula: {") and rest.startswith("recursion: {")
+
+
+def test_worked_example_refused_order_exits_1(capsys, monkeypatch):
+    walk = _script("reproduce_worked_example")
+    monkeypatch.setattr(walk, "steps_for_order", lambda code, order: None)
+    assert walk.main() == 1
+    out, err = capsys.readouterr()
+    assert "accepted" not in out
+    assert err.startswith(f"cross-check mismatch: order (1, 2, 3, 4, 5) of {DEMO} is not a piercing order;")
+    assert err.count("\n") == 1
+
+
+def test_worked_example_changed_profile_exits_1(capsys, monkeypatch):
+    walk = _script("reproduce_worked_example")
+    real = walk.steps_for_order
+
+    def short(code, order):
+        # the last step dropped, so the profile loses a count
+        found = real(code, order)
+        return PiercingOrder(found.steps[:-1])
+
+    monkeypatch.setattr(walk, "steps_for_order", short)
+    assert walk.main() == 1
+    out, err = capsys.readouterr()
+    assert "accepted" not in out
+    assert err.startswith(f"cross-check mismatch: order (1, 2, 3, 4, 5) of {DEMO} has profile j[")
+    assert "; the search's order (" in err
+
+
+def test_invariance_scan_reports_through_the_chordal_check(capsys, monkeypatch):
+    scan = _script("chordal_invariance_scan")
+    real = EliminationOrdering.profile
+
+    def drifting(self):
+        profile = real(self)
+        return profile if list(self.order) == sorted(self.order) else profile[:-1] + (profile[-1] + 1,)
+
+    monkeypatch.setattr(EliminationOrdering, "profile", drifting)
+    monkeypatch.setattr(sys, "argv", ["chordal_invariance_scan.py", "--exhaustive-n", "3", "--sample-n", "3"])
+    assert scan.main() == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the first graph with two orderings: two vertices, no edge
+    assert err.startswith("cross-check mismatch: elimination profiles differ on n=2 edges=[]: MCS ordering (")
+    assert err.count("has profile") == 2
+
+
+def test_chordal_without_orderings_exits_3(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "path.graph"
+    p.write_text("1-2\n2-3\n")
+    monkeypatch.setattr(cli, "all_elimination_orderings", lambda g: iter(()))
+    rc, out, err = run(capsys, "chordal", str(p))
+    assert rc == 3 and out == ""
+    assert err.startswith(f"cross-check mismatch: no elimination ordering of {p} found, though MCS ordering (")
 
 
 def test_pierced_mismatch_names_the_file(worked_file, capsys, monkeypatch):
