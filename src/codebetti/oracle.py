@@ -23,19 +23,30 @@ subsets; it never reduces a union on its own:
   D_v, holds the unions in which v is dominated.
 - The faces are one more bitset, the subsets that hold no generator. They
   are counted per size and checked against `MAX_ROW_BITS` before any is
-  listed; each size's faces are then listed in increasing order.
-  `restricted_homology` takes the same path (`_listed_faces`) on sigma's
+  listed (`_face_levels`); each size's faces are then listed in
+  increasing order. `restricted_homology` takes the same path on sigma's
   vertices, renumbered 0..u-1.
-- The cores are the unions in which no vertex is dominated. The homology
-  of each is computed once, by bit-packed Gaussian elimination. Each cores
-  task builds a face size's boundary rows, over the positions of the
-  global faces one size smaller, the first time one of its cores takes a
-  rank at that size, and keeps them for its other cores. A face inside a
-  core has its whole boundary inside it, so every core picks its faces by
-  position and eliminates these rows. Ranks go from the top face size down
-  with clearing (Chen and Kerber, *Persistent homology computation with a
-  twist*, EuroCG 2011): a face that leads a reduced row one size up has a
-  row that reduces to zero, so it is skipped.
+- The cores are the unions in which no vertex is dominated. A core that
+  holds no 2-face (no face of two vertices, that is no edge) is a point
+  core: its complex is its vertices as points, so reduced H_0 is their
+  number minus one, and the empty core and the lone vertex of a degree-1
+  generator have just H_-1 = 1. The cores that hold a 2-face are those
+  among the 2-faces grown to all their supersets, one shift-and-or per
+  vertex, so the point cores are one bitset, credited per size through
+  the size masks with no face listed and no rank. For a quadratic ideal
+  whose complement graph is chordal (regularity 2, by Fröberg, *On
+  Stanley-Reisner rings*, 1990), as for every inductively pierced code,
+  strong collapse leaves only point cores.
+- The homology of every other core is computed once, by bit-packed
+  Gaussian elimination. Each cores task builds a face size's boundary
+  rows, over the positions of the global faces one size smaller, the
+  first time one of its cores takes a rank at that size, and keeps them
+  for its other cores. A face inside a core has its whole boundary inside
+  it, so every core picks its faces by position and eliminates these
+  rows. Ranks go from the top face size down with clearing (Chen and
+  Kerber, *Persistent homology computation with a twist*, EuroCG 2011): a
+  face that leads a reduced row one size up has a row that reduces to
+  zero, so it is skipped.
 - A complex's core is unique up to isomorphism (Barmak and Minian), so the
   cores that a union strong-collapses onto all have its homology. The cores
   are grouped by homology, and each group grows to the unions that
@@ -215,7 +226,7 @@ def restricted_homology(ideal: SquarefreeIdeal, sigma) -> tuple[tuple[int, int],
     gens = [g.support_mask(ideal.n) for g in ideal.gens]
     gens = [_renumbered(g, places) for g in gens if g & ~mask == 0]
     u = len(places)
-    faces_by_size = _listed_faces(gens, _holding(u), _sizes(u))[1]
+    faces_by_size = [_members(level) for level in _face_levels(gens, _holding(u), _sizes(u))[1]]
     dims = _homology_dims(faces_by_size, {}, [(1 << len(fs)) - 1 for fs in faces_by_size])[0]
     return tuple(sorted(dims.items()))
 
@@ -269,13 +280,13 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _listed_faces(gens, holding: list[int], sizes: list[int]) -> tuple[int, list[list[int]]]:
-    """The faces on vertices 0..u-1, as a bitset over the 2^u subsets and listed per mask in sizes.
+def _face_levels(gens, holding: list[int], sizes: list[int]) -> tuple[int, list[int]]:
+    """The faces on vertices 0..u-1 as a bitset over the 2^u subsets, and its part in each mask of sizes.
 
     A non-face holds a generator, that is each of its vertices. The faces
     in each mask of sizes are counted, and `_check_row_bits` refuses them,
-    before any is listed; each list is in increasing order. holding is
-    `_holding(u)`, and sizes `_sizes(u)` or a prefix of it.
+    before any is listed. holding is `_holding(u)`, and sizes `_sizes(u)`
+    or a prefix of it.
     """
     faces = (1 << (1 << len(holding))) - 1
     for g in gens:
@@ -285,7 +296,7 @@ def _listed_faces(gens, holding: list[int], sizes: list[int]) -> tuple[int, list
         faces &= ~inside
     levels = [faces & m for m in sizes]
     _check_row_bits([level.bit_count() for level in levels])
-    return faces, [_members(level) for level in levels]
+    return faces, levels
 
 
 def _support_unions(gens, holding: list[int]) -> int:
@@ -388,11 +399,12 @@ def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
 def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
     """Reduced homology of each core, with the rank calls made and rows reduced.
 
-    faces_by_size are the faces on the used vertices. A face lies in the
-    core iff it avoids every used vertex outside it, so the core's faces
-    are picked by and-ing the avoiding masks of those vertices, size by
-    size. The cores share one set of boundary rows, each size built when a
-    core first needs it.
+    The sweep sends only the cores that hold a 2-face; a point core needs no
+    rank. faces_by_size are the faces on the used vertices, up to the size
+    of the largest of these cores. A face lies in the core iff it avoids
+    every used vertex outside it, so the core's faces are picked by and-ing
+    the avoiding masks of those vertices, size by size. The cores share one
+    set of boundary rows, each size built when a core first needs it.
     """
     cores, faces_by_size, used = args
     avoiding = _avoiding(faces_by_size, used)
@@ -476,23 +488,27 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     point and contribute nothing, so the sweep credits exactly those unions
     (plus the empty restriction, which yields the (0,0,0) entry). It never
     reduces a union on its own. The cores are the unions in which no
-    vertex is dominated (`_dominated`); their homology is computed once
-    each, and the cores are grouped by it. A union strong-collapses onto
-    the cores of exactly one group, that of its own homology, or onto a
-    point, if it is a cone; each group grows to its unions (`_grow`), which
-    are counted per degree and credited with the group's homology.
+    vertex is dominated (`_dominated`); their homology is found once each,
+    and the cores are grouped by it. The point cores, which hold no 2-face,
+    are grouped by size with no rank; only the others go to
+    `_core_homology`. A union strong-collapses onto the cores of exactly
+    one group, that of its own homology, or onto a point, if it is a cone;
+    each group grows to its unions (`_grow`), which are counted per degree
+    and credited with the group's homology.
 
-    The counts are the restrictions, the cones among them, the cores, the
-    faces of the global face list, the boundary ranks computed and the rows
-    those ranks reduced after clearing, the last two summed over the
-    workers. With threads > 1 a pool computes one strided share of the
-    cores per task, each task building the boundary rows its cores need
-    from the faces; nothing depends on threads. There is one task per
-    thread, or per usable CPU where there are fewer, and the pool has one
-    worker per task; with one usable CPU the sweep runs serially, as it
-    does for threads < 1 and threads = 1. The groups grow in the main
-    process: a task per group would ship the D_v and degree masks, which
-    cost more than the growth.
+    The counts are the restrictions, the cones among them, the cores (all
+    of them), the point cores among those, the faces of the global face
+    list, the boundary ranks computed and the rows those ranks reduced
+    after clearing, the last two summed over the workers. With threads > 1
+    a pool computes one strided share of the cores that hold a 2-face per
+    task, each task building the boundary rows its cores need from the
+    faces; nothing depends on threads. There is one task per thread, or per
+    usable CPU where there are fewer, and the pool has one worker per task;
+    with one usable CPU the sweep runs serially, as it does for threads < 1
+    and threads = 1. Where every core is a point core, no face is listed
+    and no pool is started or used. The groups grow in the main process: a
+    task per group would ship the D_v and degree masks, which cost more
+    than the growth.
     """
     threads = max(1, threads)
     # one task per thread, but no more tasks than usable CPUs: further tasks
@@ -519,21 +535,39 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     anywhere = 0
     for d in dominated:
         anywhere |= d
-    cores = sorted(_members(closure & ~anywhere), key=lambda c: (c.bit_count(), c))
+    cores = closure & ~anywhere
     sizes = _sizes(u)
-    # no core holds a larger face
-    faces, held = _listed_faces(gens, holding, sizes[: cores[-1].bit_count() + 1])
-    run = map if tasks == 1 else _worker_pool(tasks).imap
-    homologies = run(_core_homology, [(cores[i::tasks], held, used) for i in range(tasks)])
-    xsizes = [_tiled(m, 1 << xcount, u) for m in _sizes(xcount)]
+    # no core holds a larger face; the empty union is always a core
+    top = max(k for k, m in enumerate(sizes) if cores & m)
+    faces, levels = _face_levels(gens, holding, sizes[: top + 1])
+    # the cores that hold a 2-face: the 2-faces grown to all their supersets
+    edged = levels[2] if top >= 2 else 0
+    for i, mask in enumerate(holding):
+        edged |= (edged << (1 << i)) & mask
+    edged &= cores
+    points = cores ^ edged
     groups: dict[tuple[tuple[int, int], ...], int] = {}
+    for k, m in enumerate(sizes[: top + 1]):
+        part = points & m
+        if part:
+            # the empty core and a lone degree-1 generator's vertex span just
+            # the empty face; a larger core holds no such vertex, as any other
+            # vertex of a union dominates it, so its k vertices are k points
+            key = ((-1, 1),) if k < 2 else ((0, k - 1),)
+            groups[key] = groups.get(key, 0) | part
     rank_calls = reduced = 0
-    for part, part_calls, part_rows in homologies:
-        rank_calls += part_calls
-        reduced += part_rows
-        for core, dims in part:
-            key = tuple(sorted(dims.items()))
-            groups[key] = groups.get(key, 0) | 1 << core
+    if edged:
+        listed = sorted(_members(edged), key=lambda c: (c.bit_count(), c))
+        held = [_members(level) for level in levels[: listed[-1].bit_count() + 1]]
+        shares = [(listed[i::tasks], held, used) for i in range(tasks)]
+        run = map if tasks == 1 else _worker_pool(tasks).imap
+        for part, part_calls, part_rows in run(_core_homology, shares):
+            rank_calls += part_calls
+            reduced += part_rows
+            for core, dims in part:
+                key = tuple(sorted(dims.items()))
+                groups[key] = groups.get(key, 0) | 1 << core
+    xsizes = [_tiled(m, 1 << xcount, u) for m in _sizes(xcount)]
     # a union's core is unique up to isomorphism, so it grows into the group
     # of its own homology only, and each union is counted once
     counts: dict[tuple[int, int, int], int] = {}
@@ -548,7 +582,8 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     work = {
         "restrictions": closure.bit_count(),
         "cones": closure.bit_count() - kept,
-        "cores": len(cores),
+        "cores": cores.bit_count(),
+        "point_cores": points.bit_count(),
         "faces": faces.bit_count(),
         "rank_calls": rank_calls,
         "rows": reduced,

@@ -106,9 +106,9 @@ def test_row_bits_guard_bounds():
     cubic = _cubic_ideal(10, 9, seed=5)
     places, gens = _renumbered_gens([g.support_mask(10) for g in cubic.gens])
     u = len(places)
-    faces_by_size = oracle_module._listed_faces(gens, oracle_module._holding(u), oracle_module._sizes(u))[1]
-    assert sum(map(len, faces_by_size)) == 48_167
-    oracle_module._check_row_bits(list(map(len, faces_by_size)))
+    levels = oracle_module._face_levels(gens, oracle_module._holding(u), oracle_module._sizes(u))[1]
+    assert sum(level.bit_count() for level in levels) == 48_167
+    oracle_module._check_row_bits([level.bit_count() for level in levels])
 
 
 def test_restricted_homology_refuses_large_rows_before_building_them(monkeypatch):
@@ -155,8 +155,9 @@ def test_oracle_sweep_refuses_large_rows_before_listing_faces(monkeypatch):
         listed.clear()
         with pytest.raises(GuardExceeded, match="boundary rows of 76644629540 bits"):
             oracle_sweep(quads, threads=threads)
-        # the only bitset listed holds the 32 cores, each union of the quads
-        assert listed == [32]
+        # the 32 cores, each union of the quads, are split into point cores
+        # and cores that hold a 2-face on bitsets too, so nothing is listed
+        assert listed == []
 
 
 def test_restricted_homology_refuses_large_rows_before_listing_faces(monkeypatch):
@@ -368,7 +369,8 @@ def test_listed_faces_equal_the_plain_faces(drawn):
     places = oracle_module._bits(sigma)
     u = len(places)
     inside = [oracle_module._renumbered(g, places) for g in gens if g & ~sigma == 0]
-    faces, listed = oracle_module._listed_faces(inside, oracle_module._holding(u), oracle_module._sizes(u))
+    faces, levels = oracle_module._face_levels(inside, oracle_module._holding(u), oracle_module._sizes(u))
+    listed = [oracle_module._members(level) for level in levels]
     plain = plain_faces(gens, sigma)
     assert len(listed) == len(plain) == u + 1
     for s, (fs, ps) in enumerate(zip(listed, plain)):
@@ -433,20 +435,21 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["cones"] == 35_080
     assert work["cores"] < work["restrictions"] - work["cones"]
     # the complex on the 17 used variables has 1,024 faces, the empty one
-    # included; each of the 168 nonempty cores collapses to points only, so it
-    # needs one boundary rank, whose rows are its vertices: with no 2-faces
-    # nothing is cleared, and the cores have 511 vertices in all
+    # included; c11 is pierced, so its complement graph is chordal and every
+    # core is a point set: the 168 nonempty cores and the empty one are read
+    # off by size, with no boundary rank
     assert work["faces"] == 1_024
-    assert work["rank_calls"] == 168
-    assert work["rows"] == 511
+    assert work["cores"] == work["point_cores"] == 169
+    assert work["rank_calls"] == 0
+    assert work["rows"] == 0
 
 
-def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch):
-    # c11's largest core has 5 vertices, so the cores get the faces of sizes
-    # 0 to 5; but each core is a point set, so every rank is one of vertices
-    # over the empty face, and the rows of sizes 2 to 5 are never built
-    _, code = random_pierced_code(11, seed=3)
-    ideal_c = polarized_ideal(canonical_form(code), code.n)
+def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch, four_cycle_code):
+    # the four-cycle's one core that holds a 2-face is the square on x1..x4,
+    # so the cores task gets the faces of sizes 0 to 4; but the square holds
+    # no 3-face, so its ranks are of edges and of vertices, and the rows of
+    # sizes 3 and 4 are never built
+    ideal_c = polarized_ideal(canonical_form(four_cycle_code), four_cycle_code.n)
     sizes, built = set(), set()
     real = oracle_module._homology_dims
 
@@ -458,8 +461,8 @@ def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch):
 
     monkeypatch.setattr(oracle_module, "_homology_dims", recording)
     _, work = oracle_sweep(ideal_c)
-    assert work["rank_calls"] == 168
-    assert sizes == {5} and built == {1}
+    assert work["rank_calls"] == 2
+    assert sizes == {4} and built == {1, 2}
 
 
 def _renumbered_gens(gens):
@@ -621,9 +624,13 @@ def test_cone_prepass_on_explicit_cases():
     assert len(grown) == 35_080  # c11's
 
 
+def _holds_a_2_face(gens, sigma):
+    faces_by_size = plain_faces(gens, sigma)
+    return len(faces_by_size) > 2 and bool(faces_by_size[2])
+
+
 def test_sweep_computes_homology_only_for_the_cores(monkeypatch):
-    _, code = random_pierced_code(11, seed=3)
-    ideal_c = polarized_ideal(canonical_form(code), code.n)
+    ideal_g = _general_ideal(1)
     computed = []  # per task, its cores
     real = oracle_module._core_homology
 
@@ -632,12 +639,65 @@ def test_sweep_computes_homology_only_for_the_cores(monkeypatch):
         return real(args)
 
     monkeypatch.setattr(oracle_module, "_core_homology", recording)
-    _, work = oracle_sweep(ideal_c)
-    assert len(computed) == 1 and len(set(computed[0])) == len(computed[0]) == work["cores"] == 169
+    _, work = oracle_sweep(ideal_g)
+    assert work["cores"] == 140 and work["point_cores"] == 3
+    assert len(computed) == 1 and len(set(computed[0])) == len(computed[0]) == work["cores"] - work["point_cores"]
     # no union gets its homology computed unless no vertex is dominated in it
-    places, gens = _renumbered_gens([g.support_mask(ideal_c.n) for g in ideal_c.gens])
+    # and it holds a 2-face; every such core gets it
+    places, gens = _renumbered_gens([g.support_mask(ideal_g.n) for g in ideal_g.gens])
     table = oracle_module._domination_table(gens, (1 << len(places)) - 1)
-    assert all(plain_core(core, table) == core for core in computed[0])
+    assert all(plain_core(core, table) == core and _holds_a_2_face(gens, core) for core in computed[0])
+    cores = {plain_core(s, table) for s in set_support_unions(gens)} - {None}
+    assert set(computed[0]) == {core for core in cores if _holds_a_2_face(gens, core)}
+    # c11's cores are all point sets: none is sent
+    computed.clear()
+    _, code = random_pierced_code(11, seed=3)
+    _, work = oracle_sweep(polarized_ideal(canonical_form(code), code.n))
+    assert computed == [] and work["point_cores"] == work["cores"] == 169
+
+
+# ideals whose cores are all point sets, each read off by size with no rank
+POINT_CORE_IDEALS = {
+    "zero": SquarefreeIdeal(2, ()),
+    "one variable": ideal(1, ((1,), ())),
+    "two variables": ideal(2, ((1,), (2,))),
+    # x2 is a degree-1 generator: its lone vertex spans just the empty face
+    "degree-1 generator": ideal(3, ((2,), ()), ((1,), (3,))),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", POINT_CORE_IDEALS)
+def test_point_cores_match_the_plain_sweep(name, threads):
+    ideal_p = POINT_CORE_IDEALS[name]
+    table, work = oracle_sweep(ideal_p, threads=threads)
+    assert table == sweep_betti_table(ideal_p)
+    assert work["point_cores"] == work["cores"] and work["rank_calls"] == work["rows"] == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_point_cores_and_cores_with_a_2_face_in_one_sweep(four_cycle_code, threads):
+    # the four-cycle's ideal (x1*x3, x2*x4) and the disjoint edge x5*x6: the
+    # cores are the 8 unions of the three, and the 4 of them that take two
+    # generators or more hold a 2-face
+    ideal_4 = polarized_ideal(canonical_form(four_cycle_code), four_cycle_code.n)
+    ideal_p = SquarefreeIdeal(6, ideal_4.gens + (SquarefreeMonomial(mask_of((5, 6)), 0),))
+    table, work = oracle_sweep(ideal_p, threads=threads)
+    assert table == sweep_betti_table(ideal_p)
+    assert work["cores"] == 8 and work["point_cores"] == 4
+
+
+def test_sweep_of_point_cores_only_starts_no_pool(monkeypatch):
+    _, code = random_pierced_code(11, seed=3)
+    ideal_c = polarized_ideal(canonical_form(code), code.n)
+    serial = oracle_sweep(ideal_c)
+
+    def refuse(workers):
+        raise AssertionError("a sweep with no core that holds a 2-face must not start a pool")
+
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(oracle_module, "_worker_pool", refuse)
+    assert oracle_sweep(ideal_c, threads=2) == serial
 
 
 def _general_ideal(seed):
@@ -695,8 +755,9 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: _RecordingPool(workers, shares))
     assert oracle_sweep(ideal_c, threads=3) == serial
     assert [workers for workers, _ in shares] == [3, 3, 3]
+    # the point cores are read off in the main process and are in no share
     cores = [core for _, (part, _, _) in shares for core in part]
-    assert len(cores) == len(set(cores)) == serial[1]["cores"]
+    assert len(cores) == len(set(cores)) == serial[1]["cores"] - serial[1]["point_cores"] == 221
     assert max(len(part) for _, (part, _, _) in shares) - min(len(part) for _, (part, _, _) in shares) <= 1
     # more workers than usable CPUs: the pool has one worker per share
     monkeypatch.undo()
