@@ -46,7 +46,7 @@ def walkthrough():
     print("chordal, elimination order:", ",".join(map(str, ordering.order)))
 
     order = is_inductively_pierced(code)
-    print("\npiercing order found by backtracking:")
+    print("\npiercing order found by peeling:")
     print(order.render())
     profile = piercing_profile(order)
     print("profile:", profile.render(), "|", profile.render_marginals())

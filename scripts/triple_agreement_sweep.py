@@ -18,7 +18,7 @@ from codebetti.cli import CrossCheckMismatch, agreed_table, betti_tables
 def check(code, order=None):
     """True if the three routes agree on the code; otherwise print the mismatch report and the code.
 
-    The formula and the recursion follow `order`, or the search's order when it is None.
+    The formula and the recursion follow `order`, or the peel's order when it is None.
     """
     try:
         agreed_table(betti_tables(code, order=order), "the code below")

@@ -168,7 +168,7 @@ def betti_tables(code, methods=("formula", "recursion", "oracle"), order=None, t
     """The Betti table of `code` by each route in `methods`, keyed by route.
 
     The formula and the recursion follow the piercing order `order`; when it
-    is None, the search finds one. The oracle runs its sweep on `threads` workers.
+    is None, the peel finds one. The oracle runs its sweep on `threads` workers.
     """
     tables: dict[str, BettiTable] = {}
     if order is None and ("formula" in methods or "recursion" in methods):
@@ -342,7 +342,8 @@ def parse_steps(text: str) -> PiercingOrder:
     The "k= l=" tail may be left out; where it is given it must read the
     step's own k and l as rendered, and nothing may follow it. Comments and
     the optional "n=" header follow LineReader; every index is capped at
-    MAX_NEURONS before it becomes a bit.
+    MAX_NEURONS before it becomes a bit. The steps must place each neuron
+    1..n exactly once, n being the header's count, else the number of steps.
     """
     reader = LineReader(text, MAX_NEURONS)
     steps = []
@@ -357,6 +358,10 @@ def parse_steps(text: str) -> PiercingOrder:
         if m.group(4) is not None and m.group(4, 5) != (str(step.k), str(step.ell)):
             raise reader.fail(f"step {step.neuron} has k={step.k} l={step.ell}, not k={m.group(4)} l={m.group(5)}")
         steps.append(step)
+    n = len(steps) if reader.declared is None else reader.declared
+    placed = sorted(s.neuron for s in steps)
+    if placed != list(range(1, n + 1)):
+        raise ValueError(f"the steps place neurons {placed}, not each of 1..{n} once")
     return PiercingOrder(tuple(steps))
 
 

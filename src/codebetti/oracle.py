@@ -504,11 +504,12 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     task, each task building the boundary rows its cores need from the
     faces; nothing depends on threads. There is one task per thread, or per
     usable CPU where there are fewer, and the pool has one worker per task;
-    with one usable CPU the sweep runs serially, as it does for threads < 1
-    and threads = 1. Where every core is a point core, no face is listed
-    and no pool is started or used. The groups grow in the main process: a
-    task per group would ship the D_v and degree masks, which cost more
-    than the growth.
+    where fewer cores than tasks hold a 2-face, each core is a share of its
+    own and no empty share is sent. With one usable CPU the sweep runs
+    serially, as it does for threads < 1 and threads = 1. Where every core
+    is a point core, no face is listed and no pool is started or used. The
+    groups grow in the main process: a task per group would ship the D_v
+    and degree masks, which cost more than the growth.
     """
     threads = max(1, threads)
     # one task per thread, but no more tasks than usable CPUs: further tasks
@@ -559,7 +560,9 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     if edged:
         listed = sorted(_members(edged), key=lambda c: (c.bit_count(), c))
         held = [_members(level) for level in levels[: listed[-1].bit_count() + 1]]
-        shares = [(listed[i::tasks], held, used) for i in range(tasks)]
+        # no empty share; the pool keeps its tasks workers, as a new count
+        # would restart the kept pool
+        shares = [(listed[i::tasks], held, used) for i in range(min(tasks, len(listed)))]
         run = map if tasks == 1 else _worker_pool(tasks).imap
         for part, part_calls, part_rows in run(_core_homology, shares):
             rank_calls += part_calls

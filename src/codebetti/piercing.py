@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from .codes import MAX_NEURONS, NeuralCode, enumerate_interval, indices_of, validate_code
+from .codes import MAX_NEURONS, NeuralCode, enumerate_interval, validate_code
 from .graphs import MAX_ENUMERATED, EliminationOrdering, chordality, chordless_cycle_witness, relationship_graph
 from .polarization import PiercingStep, polarized_ideal
 from .pseudomonomials import canonical_form
@@ -140,69 +140,81 @@ def build_code(steps) -> NeuralCode:
     return NeuralCode(top, frozenset(words))
 
 
+def _peel(code: NeuralCode, order=None) -> PiercingOrder | None:
+    """A piercing order of a clean code found by peeling it from the last step down, or None.
+
+    Each of the n stages takes the neuron `order` puts last among those
+    left, or, with no order, the lowest neuron left that is a piercing of
+    the current words, and deletes it from every word. It returns None as
+    soon as a stage has no such neuron.
+
+    With no order, a stuck peel proves that no order exists, so the peel
+    needs no backtracking: deleting any neuron i from a pierced code C
+    leaves a pierced code.  Proof: drop i from every step of a construction
+    of C.  Step i then adds no word, and each other step j pierces
+    [sigma_j - i, tau_j - i], the image of [sigma_j, tau_j], which lies in
+    the code built so far because [sigma_j, tau_j] did; the steps build
+    C - i.  A pierced code with neurons left has a piercing neuron (the
+    last of any construction), and peeling one leaves a pierced code, so
+    on a pierced code no stage gets stuck.
+    """
+    left = list(range(1, code.n + 1))
+    words = code.words
+    steps = []
+    for t in range(code.n - 1, -1, -1):
+        tried = left if order is None else (order[t],)
+        step = next(filter(None, (_detect_on_words(words, i) for i in tried)), None)
+        if step is None:
+            return None
+        steps.append(step)
+        left.remove(step.neuron)
+        bit = 1 << (step.neuron - 1)
+        words = frozenset(w & ~bit for w in words)
+    return PiercingOrder(tuple(reversed(steps)))
+
+
 def steps_for_order(code: NeuralCode, order) -> PiercingOrder | None:
     """The steps realizing a given construction order, or None if some step fails."""
     order = tuple(order)
     if sorted(order) != list(range(1, code.n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     require_clean(code)
-    steps: list[PiercingStep | None] = [None] * code.n
-    words = code.words
-    for t in range(code.n - 1, -1, -1):
-        i = order[t]
-        step = _detect_on_words(words, i)
-        if step is None:
-            return None
-        steps[t] = step
-        bit = 1 << (i - 1)
-        words = frozenset(w & ~bit for w in words)
-    return PiercingOrder(tuple(steps))
+    return _peel(code, order)
 
 
-_EMPTY = frozenset({0})
+def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
+    """The order the peel finds, taking the lowest piercing neuron at each stage, else None."""
+    require_clean(code)
+    return _peel(code)
 
 
-def _search_orders(words: frozenset[int], dead: set):
-    """Steps of every piercing order of a word set, by backtracking over every choice.
-
-    Nothing guarantees that removing an arbitrary detected piercing first
-    preserves piercedness, so a greedy pass would be unsound.  Word sets
-    found to have no piercing order are added to `dead` and not searched again.
-    """
-    if words == _EMPTY:
+def _every_order(words: frozenset[int], left: tuple[int, ...]):
+    """Steps of every piercing order of a pierced word set on the neurons `left`, each branch of the peel in turn."""
+    if not left:
         yield ()
         return
-    if words in dead:
-        return
-    found = False
-    active = 0
-    for w in words:
-        active |= w
-    for i in indices_of(active):
+    for i in left:
         step = _detect_on_words(words, i)
         if step is None:
             continue
         bit = 1 << (i - 1)
-        for rest in _search_orders(frozenset(w & ~bit for w in words), dead):
-            found = True
-            yield rest + (step,)
-    if not found:
-        dead.add(words)
-
-
-def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
-    """The first piercing order the backtracking search finds, else None."""
-    require_clean(code)
-    steps = next(_search_orders(code.words, set()), None)
-    return None if steps is None else PiercingOrder(steps)
+        rest = tuple(j for j in left if j != i)
+        for head in _every_order(frozenset(w & ~bit for w in words), rest):
+            yield head + (step,)
 
 
 def iter_piercing_orders(code: NeuralCode):
-    """Every piercing order of the code, by exhaustive backtracking."""
+    """Every piercing order of the code, the peel's first.
+
+    When the peel finds an order, every branch of the peel completes (see
+    `_peel`), so the walk over its choices needs no memo of dead word sets.
+    """
     if code.n > MAX_ENUMERATED:
         raise ValueError(f"n={code.n} exceeds the enumeration guard of {MAX_ENUMERATED}")
     require_clean(code)
-    for steps in _search_orders(code.words, set()):
+    if _peel(code) is None:
+        return
+    for steps in _every_order(code.words, tuple(range(1, code.n + 1))):
         yield PiercingOrder(steps)
 
 

@@ -205,16 +205,25 @@ def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> 
 
 
 def ideal_from_steps(steps, n: int | None = None) -> SquarefreeIdeal:
-    """Fold extend_ideal over a construction sequence, tracking which neurons exist."""
+    """The ideal extend_ideal folds out of a construction sequence, validated once.
+
+    Each step adjoins x_new * v for its piercing variables v over the
+    neurons present before it. Generators only accumulate, so the one
+    check of the whole set refuses exactly the sequences some fold step
+    would. The ideal has max(n, largest neuron) variable pairs.
+    """
     steps = tuple(steps)
-    if n is None:
-        n = max((s.neuron for s in steps), default=0)
-    ideal = SquarefreeIdeal(n, ())
+    top = max((s.neuron for s in steps), default=0)
+    gens = []
     existing = 0
     for step in steps:
-        ideal = extend_ideal(ideal, step, existing)
-        existing |= 1 << (step.neuron - 1)
-    return ideal
+        bit = 1 << (step.neuron - 1)
+        gens += [SquarefreeMonomial(v.xsupp | bit, v.ysupp) for v in piercing_variables(step, existing)]
+        existing |= bit
+    try:
+        return SquarefreeIdeal(top if n is None else max(n, top), tuple(gens))
+    except ValueError as exc:
+        raise ValueError(f"inconsistent piercing step: {exc}") from exc
 
 
 _FACTOR_RE = re.compile(r"^([xy])([0-9]+)$")

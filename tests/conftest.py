@@ -2,7 +2,18 @@ from itertools import combinations
 
 import pytest
 
-from codebetti import BettiTable, NeuralCode, PseudoMonomial, SquarefreeMonomial, binom, mask_of, parse_code
+from codebetti import (
+    BettiTable,
+    NeuralCode,
+    PiercingOrder,
+    PseudoMonomial,
+    SquarefreeMonomial,
+    binom,
+    detect_piercing,
+    indices_of,
+    mask_of,
+    parse_code,
+)
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -235,6 +246,41 @@ def grid_betti_closed(profile):
             if total:
                 counts[(w, u, v)] = total
     return BettiTable.from_dict(n, counts)
+
+
+def backtracking_piercing_orders(code):
+    """Reference: every piercing order of a clean code, by backtracking over every choice, for cross-checks only.
+
+    Assumes nothing about which piercing may go first: at each stage it
+    tries every piercing neuron, lowest first, and backs out of a branch
+    that gets stuck. Word sets found to have no order are kept in a memo
+    and not searched again.
+    """
+    dead = set()
+
+    def search(words):
+        if words == frozenset({0}):
+            yield ()
+            return
+        if words in dead:
+            return
+        found = False
+        active = 0
+        for w in words:
+            active |= w
+        for i in indices_of(active):
+            step = detect_piercing(NeuralCode(code.n, words), i)
+            if step is None:
+                continue
+            bit = 1 << (i - 1)
+            for rest in search(frozenset(w & ~bit for w in words)):
+                found = True
+                yield rest + (step,)
+        if not found:
+            dead.add(words)
+
+    for steps in search(code.words):
+        yield PiercingOrder(steps)
 
 
 @pytest.fixture(scope="session")

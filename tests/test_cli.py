@@ -402,6 +402,30 @@ def test_generate_refuses_a_step_with_a_wrong_k_and_l_or_trailing_text(tmp_path,
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ("step 2: sigma={} tau={}\n", "the steps place neurons [2], not each of 1..1 once"),
+        ("step 1: sigma={} tau={}\nstep 1: sigma={} tau={}\n", "the steps place neurons [1, 1], not each of 1..2 once"),
+        ("n=3\nstep 1: sigma={} tau={}\nstep 2: sigma={} tau={1}\n", "the steps place neurons [1, 2], not each of 1..3 once"),
+        ("n=1\n", "the steps place neurons [], not each of 1..1 once"),
+    ],
+)
+def test_generate_refuses_steps_that_do_not_place_each_neuron_once(tmp_path, capsys, monkeypatch, body, message):
+    monkeypatch.setattr(cli, "build_code", _refuse("build_code"))
+    steps = tmp_path / "steps.txt"
+    steps.write_text(body)
+    rc, out, err = run(capsys, "generate", "--steps", str(steps))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_generate_replays_steps_out_of_label_order_under_a_header(tmp_path, capsys):
+    steps = tmp_path / "steps.txt"
+    steps.write_text("n=2\nstep 2: sigma={} tau={}\nstep 1: sigma={} tau={2}\n")
+    rc, out, _ = run(capsys, "generate", "--steps", str(steps))
+    assert rc == 0 and out.splitlines()[:5] == ["n=2", "0", "1", "2", "1 2"]
+
+
+@pytest.mark.parametrize(
     "options", [["--n", "3", "--seed", "9", "--kmax", "0"], ["--n", "5"], ["--kmax", "1"], ["--seed", "0"]]
 )
 def test_generate_refuses_steps_with_sampling_options(capsys, monkeypatch, options):

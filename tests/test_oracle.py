@@ -769,6 +769,18 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     assert asked == [2]
 
 
+def test_sweep_sends_no_empty_share(monkeypatch, four_cycle_code):
+    # one core of the four-cycle's ideal holds a 2-face: one share goes to
+    # the pool, which keeps one worker per task
+    ideal_4 = polarized_ideal(canonical_form(four_cycle_code), four_cycle_code.n)
+    serial = oracle_sweep(ideal_4, threads=1)
+    shares = []
+    monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: _RecordingPool(workers, shares))
+    assert oracle_sweep(ideal_4, threads=4) == serial
+    assert [(workers, len(part)) for workers, (part, _, _) in shares] == [(4, 1)]
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_nonpositive_threads_sweep_serially(threads):
     ideal_z = _general_ideal(1)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from codebetti import (
     NeuralCode,
     PiercingStep,
     build_code,
+    delete_neuron,
     detect_piercing,
     enumerate_pierced_codes,
     is_inductively_pierced,
@@ -17,7 +20,7 @@ from codebetti import (
     steps_for_order,
     validate_code,
 )
-from conftest import code_of
+from conftest import backtracking_piercing_orders, code_of
 
 TRIVIAL = NeuralCode(0, frozenset({0}))
 
@@ -197,8 +200,6 @@ def test_fast_agrees_with_definition_exhaustively(n):
 
 
 def test_fast_agrees_on_1000_seeded_random_codes():
-    import random
-
     agree = 0
     for seed in range(1000):
         rng = random.Random(seed)
@@ -230,3 +231,59 @@ def test_enumerate_respects_rank_cap():
     for code in enumerate_pierced_codes(4, max_rank=1):
         order = is_inductively_pierced(code)
         assert order is not None
+
+
+def _seeded_codes(count):
+    """Clean codes on 4..7 neurons: random word sets, and pierced codes with one word toggled or not."""
+    rng = random.Random(20)
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 7)
+        if rng.random() < 0.5:
+            words = frozenset({0} | {rng.randrange(1 << n) for _ in range(rng.randint(n, 3 * n))})
+        else:
+            words = random_pierced_code(n, seed=rng.randrange(10_000))[1].words
+            if rng.random() < 0.5:
+                words = words ^ {rng.randrange(1, 1 << n)}
+        code = NeuralCode(n, words)
+        if validate_code(code).clean:
+            out.append(code)
+    return out
+
+
+def _peel_corpus():
+    yield from (c for n in (1, 2, 3) for c in _all_codes(n) if validate_code(c).clean)
+    yield from enumerate_pierced_codes(4)
+    yield from _seeded_codes(1000)
+
+
+def test_peel_finds_the_backtracking_search_first_order():
+    pierced = 0
+    for code in _peel_corpus():
+        expected = next(backtracking_piercing_orders(code), None)
+        assert is_inductively_pierced(code) == expected, sorted(code.words)
+        if expected is not None:
+            pierced += 1
+            assert steps_for_order(code, expected.order) == expected
+    assert pierced > 500  # pierced and non-pierced codes both reach the check
+
+
+def test_deleting_any_neuron_of_a_pierced_code_leaves_it_pierced():
+    # the lemma the peel rests on, checked with the backtracking reference
+    codes = [c for c in enumerate_pierced_codes(4) if c.n == 4]
+    codes += [random_pierced_code(n, seed=seed)[1] for n in (6, 8) for seed in range(20)]
+    for code in codes:
+        for i in range(1, code.n + 1):
+            assert next(backtracking_piercing_orders(delete_neuron(code, i)), None) is not None
+
+
+def test_iter_piercing_orders_lists_the_backtracking_search_orders(four_cycle_code):
+    codes = list(enumerate_pierced_codes(4)) + [random_pierced_code(n, seed=seed)[1] for n in (5, 6) for seed in range(5)]
+    for code in codes:
+        assert list(iter_piercing_orders(code)) == list(backtracking_piercing_orders(code))
+    # the four-cycle with five more neurons pierced onto it: no order, as
+    # deleting them would leave a pierced four-cycle
+    grown = NeuralCode(9, four_cycle_code.words | {mask_of(w) for w in [(1, 5), (2, 3, 6), (7,), (8,), (7, 8), (3, 4, 9)]})
+    assert validate_code(grown).clean
+    for code in (four_cycle_code, grown):
+        assert list(iter_piercing_orders(code)) == [] == list(backtracking_piercing_orders(code))
