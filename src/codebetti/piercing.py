@@ -140,37 +140,44 @@ def build_code(steps) -> NeuralCode:
     return NeuralCode(top, frozenset(words))
 
 
-def _peel(code: NeuralCode, order=None) -> PiercingOrder | None:
-    """A piercing order of a clean code found by peeling it from the last step down, or None.
+def _peel(words: frozenset[int], left, order=None, tail=()):
+    """Every piercing order of a clean word set, found by peeling it from the last step down.
 
-    Each of the n stages takes the neuron `order` puts last among those
-    left, or, with no order, the lowest neuron left that is a piercing of
-    the current words, and deletes it from every word. It returns None as
-    soon as a stage has no such neuron.
+    Each stage tries the neuron `order` puts last among those `left`, or,
+    with no order, every neuron left, lowest first. For each one that is a
+    piercing of the current words it deletes that neuron from every word
+    and peels the rest, with its step put in front of `tail`. Once no
+    neuron is left it yields the steps as a PiercingOrder, so the first
+    order yielded takes the lowest piercing neuron at each stage. At the
+    first stage where no neuron tried is a piercing it returns True, and
+    each caller returns True in turn, which ends the whole walk.
 
-    With no order, a stuck peel proves that no order exists, so the peel
-    needs no backtracking: deleting any neuron i from a pierced code C
+    With no order, a stuck stage proves that no order exists, so ending
+    the walk there loses none: deleting any neuron i from a pierced code C
     leaves a pierced code.  Proof: drop i from every step of a construction
     of C.  Step i then adds no word, and each other step j pierces
     [sigma_j - i, tau_j - i], the image of [sigma_j, tau_j], which lies in
     the code built so far because [sigma_j, tau_j] did; the steps build
     C - i.  A pierced code with neurons left has a piercing neuron (the
     last of any construction), and peeling one leaves a pierced code, so
-    on a pierced code no stage gets stuck.
+    on a pierced code no stage of any branch gets stuck.
     """
-    left = list(range(1, code.n + 1))
-    words = code.words
-    steps = []
-    for t in range(code.n - 1, -1, -1):
-        tried = left if order is None else (order[t],)
-        step = next(filter(None, (_detect_on_words(words, i) for i in tried)), None)
+    if not left:
+        yield PiercingOrder(tail)
+        return False
+    stuck = True
+    for i in left if order is None else (order[len(left) - 1],):
+        step = _detect_on_words(words, i)
         if step is None:
-            return None
-        steps.append(step)
-        left.remove(step.neuron)
-        bit = 1 << (step.neuron - 1)
-        words = frozenset(w & ~bit for w in words)
-    return PiercingOrder(tuple(reversed(steps)))
+            continue
+        stuck = False
+        bit = 1 << (i - 1)
+        # a list: tuple() of a generator is resized into place, so the freed
+        # tuples of each length pile up in its free lists (about 1 MB of RSS)
+        rest = [j for j in left if j != i]
+        if (yield from _peel(frozenset(w & ~bit for w in words), rest, order, (step,) + tail)):
+            return True
+    return stuck
 
 
 def steps_for_order(code: NeuralCode, order) -> PiercingOrder | None:
@@ -179,43 +186,26 @@ def steps_for_order(code: NeuralCode, order) -> PiercingOrder | None:
     if sorted(order) != list(range(1, code.n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     require_clean(code)
-    return _peel(code, order)
+    return next(_peel(code.words, range(1, code.n + 1), order), None)
 
 
 def is_inductively_pierced(code: NeuralCode) -> PiercingOrder | None:
     """The order the peel finds, taking the lowest piercing neuron at each stage, else None."""
     require_clean(code)
-    return _peel(code)
-
-
-def _every_order(words: frozenset[int], left: tuple[int, ...]):
-    """Steps of every piercing order of a pierced word set on the neurons `left`, each branch of the peel in turn."""
-    if not left:
-        yield ()
-        return
-    for i in left:
-        step = _detect_on_words(words, i)
-        if step is None:
-            continue
-        bit = 1 << (i - 1)
-        rest = tuple(j for j in left if j != i)
-        for head in _every_order(frozenset(w & ~bit for w in words), rest):
-            yield head + (step,)
+    return next(_peel(code.words, range(1, code.n + 1)), None)
 
 
 def iter_piercing_orders(code: NeuralCode):
     """Every piercing order of the code, the peel's first.
 
-    When the peel finds an order, every branch of the peel completes (see
-    `_peel`), so the walk over its choices needs no memo of dead word sets.
+    One walk over every branch of the peel: on a pierced code no branch
+    gets stuck (see `_peel`), so the walk needs no memo of dead word sets,
+    and on any other code it ends at the first stuck stage.
     """
     if code.n > MAX_ENUMERATED:
         raise ValueError(f"n={code.n} exceeds the enumeration guard of {MAX_ENUMERATED}")
     require_clean(code)
-    if _peel(code) is None:
-        return
-    for steps in _every_order(code.words, tuple(range(1, code.n + 1))):
-        yield PiercingOrder(steps)
+    yield from _peel(code.words, range(1, code.n + 1))
 
 
 @dataclass(frozen=True)

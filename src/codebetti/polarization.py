@@ -188,8 +188,10 @@ def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> 
 
     For a genuinely new piercing step the union needs no antichain
     reduction; if it would, the step is inconsistent and we raise.
-    `existing` is the mask of neurons present before the step (default:
-    neurons below the new one).
+    The refusal can fire here, unlike in `ideal_from_steps`, because
+    `J_prev` comes from the caller and need not be the ideal of the
+    steps before this one. `existing` is the mask of neurons present
+    before the step (default: neurons below the new one).
     """
     if existing is None:
         existing = (1 << (step.neuron - 1)) - 1
@@ -208,9 +210,12 @@ def ideal_from_steps(steps, n: int | None = None) -> SquarefreeIdeal:
     """The ideal extend_ideal folds out of a construction sequence, validated once.
 
     Each step adjoins x_new * v for its piercing variables v over the
-    neurons present before it. Generators only accumulate, so the one
-    check of the whole set refuses exactly the sequences some fold step
-    would. The ideal has max(n, largest neuron) variable pairs.
+    neurons present before it. The ideal has max(n, largest neuron)
+    variable pairs. Unlike `extend_ideal`, it does not rewrap a refusal
+    as an inconsistent step, since no step sequence can cause one:
+    x_p * v divides x_q * w only if v is x_q, placed before p, and w is
+    x_p, placed before q, and `piercing_variables` refuses a neuron
+    placed twice. `SquarefreeIdeal` still runs its own check.
     """
     steps = tuple(steps)
     top = max((s.neuron for s in steps), default=0)
@@ -220,10 +225,7 @@ def ideal_from_steps(steps, n: int | None = None) -> SquarefreeIdeal:
         bit = 1 << (step.neuron - 1)
         gens += [SquarefreeMonomial(v.xsupp | bit, v.ysupp) for v in piercing_variables(step, existing)]
         existing |= bit
-    try:
-        return SquarefreeIdeal(top if n is None else max(n, top), tuple(gens))
-    except ValueError as exc:
-        raise ValueError(f"inconsistent piercing step: {exc}") from exc
+    return SquarefreeIdeal(top if n is None else max(n, top), tuple(gens))
 
 
 _FACTOR_RE = re.compile(r"^([xy])([0-9]+)$")

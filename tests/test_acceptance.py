@@ -250,7 +250,7 @@ def test_c09_profile_order_invariance(corpus_records):
     for code, _, profile, _, _, _ in records:
         profiles = {piercing_profile(o) for o in iter_piercing_orders(code)}
         assert profiles == {profile}, code
-    print(f"PASS criterion 9: every backtracking order gives one profile on {len(records)} codes")
+    print(f"PASS criterion 9: every piercing order gives one profile on {len(records)} codes")
 
 
 def test_c10_binomial_identities():

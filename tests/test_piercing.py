@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from codebetti import piercing
 from codebetti import (
     DiagnosticsError,
     NeuralCode,
@@ -277,7 +278,7 @@ def test_deleting_any_neuron_of_a_pierced_code_leaves_it_pierced():
             assert next(backtracking_piercing_orders(delete_neuron(code, i)), None) is not None
 
 
-def test_iter_piercing_orders_lists_the_backtracking_search_orders(four_cycle_code):
+def test_iter_piercing_orders_lists_the_backtracking_search_orders(four_cycle_code, monkeypatch):
     codes = list(enumerate_pierced_codes(4)) + [random_pierced_code(n, seed=seed)[1] for n in (5, 6) for seed in range(5)]
     for code in codes:
         assert list(iter_piercing_orders(code)) == list(backtracking_piercing_orders(code))
@@ -287,3 +288,13 @@ def test_iter_piercing_orders_lists_the_backtracking_search_orders(four_cycle_co
     assert validate_code(grown).clean
     for code in (four_cycle_code, grown):
         assert list(iter_piercing_orders(code)) == [] == list(backtracking_piercing_orders(code))
+    # one walk that ends at the first stuck stage: at most one detection
+    # per neuron left at each stage, never a branch past a stuck one
+    calls = []
+    detect = piercing._detect_on_words
+    monkeypatch.setattr(piercing, "_detect_on_words", lambda words, i: calls.append(i) or detect(words, i))
+    for code in (four_cycle_code, grown):
+        for run in (lambda: list(iter_piercing_orders(code)), lambda: is_inductively_pierced(code)):
+            calls.clear()
+            assert not run()
+            assert 0 < len(calls) <= code.n * (code.n + 1) // 2
