@@ -83,42 +83,66 @@ def _is_clique(mask: int, adj: list[int]) -> bool:
     return True
 
 
-def _removal_degrees(g: Graph, order) -> tuple[int, ...]:
-    adj = g.adjacency()
-    remaining = (1 << g.n) - 1
-    degs = []
-    for t, v in enumerate(order, start=1):
-        if not 1 <= v <= g.n:
-            raise ValueError(f"vertex {v} out of range")
-        bit = 1 << (v - 1)
-        if not remaining & bit:
-            raise ValueError(f"vertex {v} repeated at step {t}")
-        nb = adj[v] & remaining & ~bit
-        if not _is_clique(nb, adj):
-            raise NotSimplicialError(f"vertex {v} is not simplicial at step {t}")
-        degs.append(nb.bit_count())
-        remaining ^= bit
-    if remaining:
-        raise ValueError("ordering does not cover every vertex")
-    return tuple(degs)
+def _eliminate(adj: list[int], left: int, order=None, head=(), degs=()):
+    """Every simplicial elimination ordering of the vertices in `left`, found by one walk.
+
+    Each stage tries the vertex `order` removes next, or, with no order,
+    every vertex left, lowest bit first. For each one that is simplicial
+    among the vertices left it removes the vertex and walks the rest, with
+    the vertex and its residual degree put after `head` and `degs`. Once no
+    vertex is left it yields an EliminationOrdering, so with no order the
+    first ordering yielded takes the lowest simplicial vertex at each stage.
+    At the first stage where no vertex tried is simplicial it returns that
+    step's number, and each caller returns it in turn, which ends the whole
+    walk; a walk that is never stuck returns 0.
+
+    With no order, a stuck stage proves that no ordering exists, so ending
+    the walk there loses none: a graph with an elimination ordering is
+    chordal (Fulkerson and Gross 1965), an induced subgraph of a chordal
+    graph is chordal, and a nonempty chordal graph has a simplicial vertex
+    (Dirac 1961), so on a chordal graph no stage of any branch gets stuck.
+    """
+    if not left:
+        yield EliminationOrdering(head, degs)
+        return 0
+    stuck = True
+    m = left if order is None else 1 << (order[len(head)] - 1)
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length()
+        nb = adj[v] & left
+        if _is_clique(nb, adj):
+            stuck = False
+            step = yield from _eliminate(adj, left ^ b, order, head + (v,), degs + (nb.bit_count(),))
+            if step:
+                return step
+    return len(head) + 1 if stuck else 0
 
 
 def simplicial_degree_profile(g: Graph, order: tuple[int, ...]) -> tuple[int, ...]:
     """Multiset of residual degrees along a removal order; raises NotSimplicialError otherwise."""
-    return tuple(sorted(_removal_degrees(g, order)))
+    order = tuple(order)
+    if sorted(order) != list(range(1, g.n + 1)):
+        raise ValueError("order must be a permutation of 1..n")
+    try:
+        return next(_eliminate(g.adjacency(), (1 << g.n) - 1, order)).profile()
+    except StopIteration as stuck:
+        step = stuck.value
+        raise NotSimplicialError(f"vertex {order[step - 1]} is not simplicial at step {step}") from None
 
 
-def _mcs_order(g: Graph) -> tuple[int, ...]:
+def _mcs_order(adj: list[int]) -> tuple[int, ...]:
     # Maximum-cardinality search; the reverse visit order is a candidate
-    # elimination ordering (guaranteed valid exactly when g is chordal).
-    adj = g.adjacency()
+    # elimination ordering (guaranteed valid exactly when the graph is chordal).
+    n = len(adj) - 1
     visited = 0
-    weights = [0] * (g.n + 1)
+    weights = [0] * (n + 1)
     visit = []
-    for _ in range(g.n):
+    for _ in range(n):
         best = 0
         best_w = -1
-        for v in range(1, g.n + 1):
+        for v in range(1, n + 1):
             if visited >> (v - 1) & 1:
                 continue
             if weights[v] > best_w:
@@ -136,37 +160,34 @@ def _mcs_order(g: Graph) -> tuple[int, ...]:
 def chordality(g: Graph) -> EliminationOrdering | None:
     """A simplicial elimination ordering if g is chordal, else None.
 
-    MCS proposes the ordering and an explicit clique verification pass
-    decides, so correctness does not rest on MCS subtleties.
+    Maximum-cardinality search proposes the ordering and the elimination
+    walk checks it, vertex by vertex, so the verdict does not rest on MCS
+    subtleties: an ordering the walk accepts proves g chordal, and on a
+    chordal graph the MCS ordering is one (Tarjan and Yannakakis 1984).
     """
-    order = _mcs_order(g)
-    try:
-        degs = _removal_degrees(g, order)
-    except NotSimplicialError:
-        return None
-    return EliminationOrdering(order, degs)
+    adj = g.adjacency()
+    return next(_eliminate(adj, (1 << g.n) - 1, _mcs_order(adj)), None)
 
 
 def chordless_cycle_witness(g: Graph) -> tuple[int, ...]:
     """A chordless cycle of length >= 4; g must not be chordal.
 
-    Complete: the first vertex v of a chordless cycle in MCS elimination
-    order still has both of its cycle neighbours u, w when it is reached,
-    and the rest of the cycle is a u-w path avoiding N[v], so trying every
-    non-adjacent pair of remaining neighbours finds one.
+    Complete for any vertex order: the first vertex v of a chordless cycle
+    in the order still has both of its cycle neighbours u, w when it is
+    reached, and the rest of the cycle is a u-w path avoiding N[v], so
+    trying every non-adjacent pair of remaining neighbours finds one. The
+    MCS order is used so that the reported cycle stays the same.
     """
-    order = _mcs_order(g)
     adj = g.adjacency()
     remaining = (1 << g.n) - 1
-    for v in order:
-        bit = 1 << (v - 1)
-        nb = adj[v] & remaining & ~bit
+    for v in _mcs_order(adj):
+        nb = adj[v] & remaining
         for u in indices_of(nb):
             for w in indices_of(nb & ~adj[u] & ~(1 << (u - 1))):
                 cycle = _cycle_through(g, adj, v, u, w)
                 if cycle:
                     return cycle
-        remaining ^= bit
+        remaining ^= 1 << (v - 1)
     raise ValueError("the graph is chordal")
 
 
@@ -198,29 +219,13 @@ def _cycle_through(g: Graph, adj: list[int], v: int, u: int, w: int) -> tuple[in
 
 
 def all_elimination_orderings(g: Graph):
-    """Every simplicial elimination ordering, by backtracking over simplicial vertices."""
+    """Every simplicial elimination ordering, lowest simplicial vertex first, by one elimination walk.
+
+    On a non-chordal graph the walk ends at its first stuck stage (see `_eliminate`).
+    """
     if g.n > MAX_ENUMERATED:
         raise ValueError(f"n={g.n} exceeds the enumeration guard of {MAX_ENUMERATED}")
-    adj = g.adjacency()
-
-    def rec(remaining: int, order: list[int], degs: list[int]):
-        if not remaining:
-            yield EliminationOrdering(tuple(order), tuple(degs))
-            return
-        m = remaining
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length()
-            nb = adj[v] & remaining & ~b
-            if _is_clique(nb, adj):
-                order.append(v)
-                degs.append(nb.bit_count())
-                yield from rec(remaining ^ b, order, degs)
-                order.pop()
-                degs.pop()
-
-    yield from rec((1 << g.n) - 1, [], [])
+    yield from _eliminate(g.adjacency(), (1 << g.n) - 1)
 
 
 def relationship_graph(ideal: SquarefreeIdeal) -> Graph:

@@ -4,6 +4,7 @@ import pytest
 
 from codebetti import (
     BettiTable,
+    EliminationOrdering,
     NeuralCode,
     PiercingOrder,
     PseudoMonomial,
@@ -14,6 +15,7 @@ from codebetti import (
     mask_of,
     parse_code,
 )
+from codebetti.graphs import _mcs_order
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -281,6 +283,60 @@ def backtracking_piercing_orders(code):
 
     for steps in search(code.words):
         yield PiercingOrder(steps)
+
+
+def pairwise_clique(mask, adj):
+    """Reference: whether the vertices of mask are pairwise adjacent, pair by pair."""
+    return all(adj[a] >> (b - 1) & 1 for a, b in combinations(indices_of(mask), 2))
+
+
+def backtracking_elimination_orderings(g):
+    """Reference: every simplicial elimination ordering, by backtracking over every choice, for cross-checks only.
+
+    Assumes nothing about stuck stages: at each stage it tries every
+    simplicial vertex, lowest first, and backs out of a branch that gets
+    stuck.
+    """
+    adj = g.adjacency()
+
+    def rec(remaining, order, degs):
+        if not remaining:
+            yield EliminationOrdering(tuple(order), tuple(degs))
+            return
+        m = remaining
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length()
+            nb = adj[v] & remaining & ~b
+            if pairwise_clique(nb, adj):
+                order.append(v)
+                degs.append(nb.bit_count())
+                yield from rec(remaining ^ b, order, degs)
+                order.pop()
+                degs.pop()
+
+    yield from rec((1 << g.n) - 1, [], [])
+
+
+def verified_mcs_ordering(g):
+    """Reference chordality: the MCS ordering if a vertex-by-vertex check accepts it, else None.
+
+    The check removes the vertices in order and gives up at the first one
+    whose remaining neighbours are not a clique.
+    """
+    adj = g.adjacency()
+    order = _mcs_order(adj)
+    remaining = (1 << g.n) - 1
+    degs = []
+    for v in order:
+        bit = 1 << (v - 1)
+        nb = adj[v] & remaining & ~bit
+        if not pairwise_clique(nb, adj):
+            return None
+        degs.append(nb.bit_count())
+        remaining ^= bit
+    return EliminationOrdering(order, tuple(degs))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import hashlib
 import io
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -981,3 +982,19 @@ def test_fuzz_cli_flags(tmp_path_factory, command):
         assert rc in (0, 2, 3), argv
 
     check()
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (DATA.parent / "README.md").read_text()
+    table = readme[readme.index("| command | options besides `--json` |"):].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines()[2:]:
+        commands, options = row.strip("|").split("|")
+        for command in re.findall(r"`(\w+)`", commands):
+            documented[command] = set(re.findall(r"`(--[\w-]+)`", options))
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in p._actions for opt in action.option_strings if opt.startswith("--")} - {"--json", "--help"}
+        for name, p in subcommands.choices.items()
+    }
+    assert documented == parsed

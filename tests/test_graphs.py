@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -19,7 +20,9 @@ from codebetti import (
     render_graph,
     simplicial_degree_profile,
 )
+from codebetti import graphs
 from codebetti.graphs import NotSimplicialError
+from conftest import backtracking_elimination_orderings, verified_mcs_ordering
 
 
 def path3():
@@ -134,6 +137,20 @@ def test_profile_rejects_non_simplicial_step():
         simplicial_degree_profile(path3(), (2, 1, 3))
 
 
+def test_profile_rejects_a_non_permutation():
+    for order in [(1, 1, 2), (1, 2, 4), (1, 2)]:  # repeated, out of range, missing
+        with pytest.raises(ValueError, match="permutation") as caught:
+            simplicial_degree_profile(path3(), order)
+        assert not isinstance(caught.value, NotSimplicialError)
+
+
+def test_profile_names_the_stuck_vertex_and_step():
+    path4 = Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])
+    assert simplicial_degree_profile(path4, (1, 2, 3, 4)) == (0, 1, 1, 1)
+    with pytest.raises(NotSimplicialError, match="vertex 3 is not simplicial at step 2"):
+        simplicial_degree_profile(path4, (1, 3, 2, 4))
+
+
 def test_all_orderings_k2():
     got = {o.order for o in all_elimination_orderings(complete(2))}
     assert got == {(1, 2), (2, 1)}
@@ -151,6 +168,41 @@ def test_all_orderings_c4_empty():
 def test_all_orderings_guard():
     with pytest.raises(ValueError):
         next(all_elimination_orderings(complete(10)))
+
+
+def test_elimination_walk_lists_the_backtracking_orderings():
+    graphs_ = []
+    for n in range(6):
+        pairs = list(combinations(range(1, n + 1), 2))
+        for bits in range(1 << len(pairs)):
+            graphs_.append(Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1]))
+    rng = random.Random(0)
+    for n in range(6, 10):
+        for _ in range(30):
+            p = rng.choice((0.2, 0.35, 0.5, 0.65, 0.8))
+            graphs_.append(Graph.from_edges(n, [e for e in combinations(range(1, n + 1), 2) if rng.random() < p]))
+    chordal = 0
+    for g in graphs_:
+        expected = list(backtracking_elimination_orderings(g))
+        assert list(all_elimination_orderings(g)) == expected, sorted(g.edges)
+        assert chordality(g) == verified_mcs_ordering(g), sorted(g.edges)
+        chordal += bool(expected)
+    assert 0 < chordal < len(graphs_)  # chordal and non-chordal graphs both reach the check
+
+
+def test_elimination_walk_ends_at_the_first_stuck_stage(monkeypatch):
+    # K5 on 1..5 beside the four-cycle 6-7-8-9: every vertex of K5 is
+    # simplicial, and the walk stops once only the cycle is left
+    k5 = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+    g = Graph.from_edges(9, k5 + [(6, 7), (7, 8), (8, 9), (6, 9)])
+    calls = []
+    is_clique = graphs._is_clique
+    monkeypatch.setattr(graphs, "_is_clique", lambda mask, adj: calls.append(mask) or is_clique(mask, adj))
+    assert list(all_elimination_orderings(g)) == []
+    assert 0 < len(calls) <= g.n * (g.n + 1) // 2
+    calls.clear()
+    assert chordality(g) is None
+    assert 0 < len(calls) <= g.n
 
 
 st_graphs = st.integers(1, 6).flatmap(
