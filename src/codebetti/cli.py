@@ -10,6 +10,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _string
 
 from .betti import betti_recursive, invert_graded, invert_multigraded, multigraded_betti_closed
 from .betti import BettiTable
@@ -55,7 +56,47 @@ class RunReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        """The bytes of `json.dumps(vars(self), indent=2, sort_keys=True)`, built by `_json`."""
+        return _json(vars(self), "")
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for a value nested at indent.
+
+    With `indent` set, `json.dumps` falls back to its pure-Python encoder;
+    this writer calls the C string escaper and joins a list of ints, or of
+    nonempty int lists, with no call per item. It takes str-keyed dicts,
+    lists, str, int, bool and None, and refuses any other type with
+    TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return _string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is not list and kind is not dict:
+        raise TypeError(f"a run report holds no {kind.__name__}")
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif kinds == {list} and all(set(map(type, v)) == {int} for v in value):
+            head, deep, tail = "[\n  " + inner, ",\n  " + inner, "\n" + inner + "]"
+            body = sep.join([head + deep.join(map(int.__repr__, v)) + tail for v in value])
+        else:
+            body = sep.join([_json(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    # the C escaper raises TypeError on a key that is no str
+    body = sep.join([_string(k) + ": " + _json(value[k], inner) for k in sorted(value)])
+    return "{\n" + inner + body + "\n" + indent + "}"
 
 
 def _read(path: str, report: RunReport) -> str:

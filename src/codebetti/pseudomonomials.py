@@ -52,8 +52,16 @@ def canonical_form(code: NeuralCode) -> tuple[PseudoMonomial, ...]:
     Built one codeword at a time, as in Petersen, Youngs, Vega and Curto,
     "Neural ideals in SageMath" (arXiv:1609.09602). Starting from the unit
     ideal, the terms that vanish on the next word c are kept; every other term
-    is multiplied by x_i (c_i = 0) or (1-x_i) (c_i = 1) for each neuron i
+    m is multiplied by x_i (c_i = 0) or (1-x_i) (c_i = 1) for each neuron i
     outside its support, and a product is dropped when a kept term divides it.
+
+    No term m that grows has a factor vanishing on c, so each product m*b has
+    exactly one: b. A kept term k therefore divides m*b only when b is its one
+    factor vanishing on c and its other factors, k/b, all lie in m. So for
+    each word the kept terms with one vanishing factor b are paired as
+    (k/b, b), and for each m the b of every pair whose k/b divides m is
+    blocked; every other product is kept with no further test. Products
+    never repeat, since each holds its one vanishing factor and m.
     The cost grows with the number of words and terms, not with 3^n.
     Output is sorted by (degree, sigma, tau) for reproducible listings.
     """
@@ -63,21 +71,28 @@ def canonical_form(code: NeuralCode) -> tuple[PseudoMonomial, ...]:
     terms = [0]
     for c in sorted(code.words):
         zero_at_c = (full ^ c) | (c << n)  # the factors x_i, (1-x_i) that vanish on c
-        kept = [m for m in terms if m & zero_at_c]
-        grown = []
+        kept = []
+        growing = []
+        blocking = []  # (k/b, b) for each kept term k whose one factor vanishing on c is b
         for m in terms:
-            if m & zero_at_c:
-                continue
+            z = m & zero_at_c
+            if z:
+                kept.append(m)
+                if z & (z - 1) == 0:
+                    blocking.append((m ^ z, z))
+            else:
+                growing.append(m)
+        for m in growing:
             supp = (m | m >> n) & full
             free = zero_at_c & ~(supp | supp << n)
+            for rest, b in blocking:
+                if rest & ~m == 0:
+                    free &= ~b
             while free:
                 b = free & -free
                 free ^= b
-                # each product holds exactly one factor vanishing on c, so products never repeat
-                p = m | b
-                if not any(k & ~p == 0 for k in kept):
-                    grown.append(p)
-        terms = kept + grown
+                kept.append(m | b)
+        terms = kept
     found = [PseudoMonomial(m & full, m >> n) for m in terms]
     found.sort(key=PseudoMonomial.sort_key)
     return tuple(found)

@@ -60,6 +60,36 @@ def sweep_canonical_form(code):
     return tuple(found)
 
 
+def pairwise_canonical_form(code):
+    """Reference canonical form, one codeword at a time, by testing each product against every kept term.
+
+    The same growth as `canonical_form`, with no blocking masks: a product
+    m*b is dropped when any term that vanishes on the word divides it.
+    """
+    n = code.n
+    full = (1 << n) - 1
+    terms = [0]
+    for c in sorted(code.words):
+        zero_at_c = (full ^ c) | (c << n)
+        kept = [m for m in terms if m & zero_at_c]
+        grown = []
+        for m in terms:
+            if m & zero_at_c:
+                continue
+            supp = (m | m >> n) & full
+            free = zero_at_c & ~(supp | supp << n)
+            while free:
+                b = free & -free
+                free ^= b
+                p = m | b
+                if not any(k & ~p == 0 for k in kept):
+                    grown.append(p)
+        terms = kept + grown
+    found = [PseudoMonomial(m & full, m >> n) for m in terms]
+    found.sort(key=PseudoMonomial.sort_key)
+    return tuple(found)
+
+
 def plain_gf2_rank(rows):
     """Reference rank over F2 of int-bitmask rows, every row fully reduced, for cross-checks only."""
     pivots = {}

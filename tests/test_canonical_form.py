@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,7 @@ from codebetti import (
     mask_of,
     random_pierced_code,
 )
-from conftest import WORKED_CF, code_of, sweep_canonical_form
+from conftest import WORKED_CF, code_of, pairwise_canonical_form, sweep_canonical_form
 
 
 def test_vanishing_semantics():
@@ -133,11 +135,22 @@ def test_cf_matches_sweep_on_random_pierced_codes(n):
     assert canonical_form(code) == sweep_canonical_form(code)
 
 
+# (n, words): past the 3^n sweep's reach; the pairwise loop takes up to about 1 s on the largest
+@pytest.mark.parametrize(
+    "n, k", [(8, 20), (8, 150), (9, 20), (9, 150), (10, 20), (10, 80), (10, 150), (11, 20), (11, 80), (12, 20), (12, 50)]
+)
+def test_cf_matches_pairwise_loop_on_dense_codes_beyond_the_sweep(n, k):
+    words = random.Random(1000 * n + k).sample(range(1, 1 << n), k)
+    code = NeuralCode(n, frozenset(words) | {0})
+    assert canonical_form(code) == pairwise_canonical_form(code)
+
+
 def test_cf_of_pierced_code_at_cap_is_every_vanishing_quadratic():
     # n=16 is beyond the sweep's reach. Once the CF is known to be quadratic, no
     # degree-one term vanishes, so every vanishing degree-two term is minimal.
     _, code = random_pierced_code(16, seed=3)
     cf = canonical_form(code)
+    assert cf == pairwise_canonical_form(code)
     assert all(f.degree == 2 and f.vanishes_on_code(code) for f in cf)
     quadratics = set()
     for i in range(16):

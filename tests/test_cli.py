@@ -517,6 +517,32 @@ def test_json_outputs_are_byte_stable(worked_file, capsys):
     assert len(outs) == 1
 
 
+# quotes, backslashes, control characters, non-ASCII and non-BMP characters, besides any other
+report_text = st.text(st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | report_text,
+    lambda inner: st.lists(inner)
+    | st.dictionaries(report_text, inner)
+    | st.lists(st.integers() | st.booleans())
+    | st.lists(st.lists(st.integers() | st.booleans())),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200)
+@given(report_values, st.lists(report_text, max_size=3))
+def test_report_writer_matches_json_dumps(value, warnings):
+    assert cli._json(value, "") == json.dumps(value, indent=2, sort_keys=True)
+    report = cli.RunReport("cf", "0" * 64, {"value": value}, warnings)
+    assert report.to_json() == json.dumps(vars(report), indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1, 2), [0, 1.0], {"a": [(1,)]}, {1: 2}, {"a": {None: 0}}])
+def test_report_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value, "")
+
+
 HUGE = 10**12
 
 
