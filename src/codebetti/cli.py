@@ -64,10 +64,9 @@ def _json(value, indent: str) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` for a value nested at indent.
 
     With `indent` set, `json.dumps` falls back to its pure-Python encoder;
-    this writer calls the C string escaper and joins a list of ints, or of
-    nonempty int lists, with no call per item. It takes str-keyed dicts,
-    lists, str, int, bool and None, and refuses any other type with
-    TypeError.
+    this writer calls the C string escaper and joins a list of ints with no
+    call per item. It takes str-keyed dicts, lists, str, int, bool and None,
+    and refuses any other type with TypeError.
     """
     kind = type(value)
     if kind is str:
@@ -88,9 +87,6 @@ def _json(value, indent: str) -> str:
         kinds = set(map(type, value))
         if kinds == {int}:
             body = sep.join(map(int.__repr__, value))
-        elif kinds == {list} and all(set(map(type, v)) == {int} for v in value):
-            head, deep, tail = "[\n  " + inner, ",\n  " + inner, "\n" + inner + "]"
-            body = sep.join([head + deep.join(map(int.__repr__, v)) + tail for v in value])
         else:
             body = sep.join([_json(v, inner) for v in value])
         return "[\n" + inner + body + "\n" + indent + "]"

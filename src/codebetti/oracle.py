@@ -127,6 +127,7 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
     calls = reduced = 0
     cleared = 0  # positions of the s-faces that led a reduced (s+1)-row
     for s in range(top, 0, -1):
+        pivots: dict[int, int] = {}
         leads = 0
         if picked[s] and picked[s - 1]:
             calls += 1
@@ -142,8 +143,6 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
                         row |= 1 << index[f ^ b]
                         m ^= b
                     level.append(row)
-            pivots = [0] * len(faces_by_size[s - 1])  # by leading position; a pivot row is never 0
-            rank = 0
             todo = picked[s] & ~cleared
             reduced += todo.bit_count()
             while todo:
@@ -152,14 +151,13 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
                 row = level[b.bit_length() - 1]
                 while row:
                     msb = row.bit_length() - 1
-                    piv = pivots[msb]
-                    if not piv:
+                    piv = pivots.get(msb)
+                    if piv is None:
                         pivots[msb] = row
                         leads |= 1 << msb
-                        rank += 1
                         break
                     row ^= piv
-            ranks[s] = rank
+        ranks[s] = len(pivots)
         cleared = leads
     dims = {}
     for s in range(top + 1):
