@@ -158,6 +158,8 @@ def invert_graded(graded, n: int) -> tuple[int, ...]:
             continue
         if j != w + 1 or not 0 <= w <= n - 1:
             raise ValueError(f"graded entry ({w},{j}) is off the linear strand")
+        if c < 0:
+            raise ValueError(f"negative Betti entry at {(w, j)}: {c}")
         for k in range(n - 1 - w, n):
             sign = -1 if (w - n + 1 + k) & 1 else 1
             jk[k] += sign * binom(w, n - 1 - k) * c

@@ -132,55 +132,29 @@ def simplicial_degree_profile(g: Graph, order: tuple[int, ...]) -> tuple[int, ..
         raise NotSimplicialError(f"vertex {order[step - 1]} is not simplicial at step {step}") from None
 
 
-def _mcs_order(adj: list[int]) -> tuple[int, ...]:
-    # Maximum-cardinality search; the reverse visit order is a candidate
-    # elimination ordering (guaranteed valid exactly when the graph is chordal).
-    n = len(adj) - 1
-    visited = 0
-    weights = [0] * (n + 1)
-    visit = []
-    for _ in range(n):
-        best = 0
-        best_w = -1
-        for v in range(1, n + 1):
-            if visited >> (v - 1) & 1:
-                continue
-            if weights[v] > best_w:
-                best, best_w = v, weights[v]
-        visit.append(best)
-        visited |= 1 << (best - 1)
-        nb = adj[best] & ~visited
-        while nb:
-            b = nb & -nb
-            weights[b.bit_length()] += 1
-            nb ^= b
-    return tuple(reversed(visit))
-
-
 def chordality(g: Graph) -> EliminationOrdering | None:
     """A simplicial elimination ordering if g is chordal, else None.
 
-    Maximum-cardinality search proposes the ordering and the elimination
-    walk checks it, vertex by vertex, so the verdict does not rest on MCS
-    subtleties: an ordering the walk accepts proves g chordal, and on a
-    chordal graph the MCS ordering is one (Tarjan and Yannakakis 1984).
+    The first ordering of the elimination walk that `all_elimination_orderings`
+    lists: an ordering proves g chordal (Fulkerson and Gross 1965), and on a
+    chordal graph the walk never gets stuck (see `_eliminate`), so it takes
+    the lowest simplicial vertex at each stage and needs no backtracking.
     """
-    adj = g.adjacency()
-    return next(_eliminate(adj, (1 << g.n) - 1, _mcs_order(adj)), None)
+    return next(_eliminate(g.adjacency(), (1 << g.n) - 1), None)
 
 
 def chordless_cycle_witness(g: Graph) -> tuple[int, ...]:
     """A chordless cycle of length >= 4; g must not be chordal.
 
-    Complete for any vertex order: the first vertex v of a chordless cycle
-    in the order still has both of its cycle neighbours u, w when it is
-    reached, and the rest of the cycle is a u-w path avoiding N[v], so
-    trying every non-adjacent pair of remaining neighbours finds one. The
-    MCS order is used so that the reported cycle stays the same.
+    The vertices are tried lowest first, and the search is complete for any
+    vertex order: the first vertex v of a chordless cycle in the order still
+    has both of its cycle neighbours u, w when it is reached, and the rest
+    of the cycle is a u-w path avoiding N[v], so trying every non-adjacent
+    pair of remaining neighbours finds one.
     """
     adj = g.adjacency()
     remaining = (1 << g.n) - 1
-    for v in _mcs_order(adj):
+    for v in range(1, g.n + 1):
         nb = adj[v] & remaining
         for u in indices_of(nb):
             for w in indices_of(nb & ~adj[u] & ~(1 << (u - 1))):

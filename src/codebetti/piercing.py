@@ -262,6 +262,9 @@ def random_pierced_code(n: int, kmax: int | None = None, seed: int = 0):
         raise ValueError(f"n={n} exceeds the cap of {MAX_NEURONS} neurons")
     if kmax is not None and kmax < 0:
         raise ValueError(f"kmax must be at least 0, got {kmax}")
+    if seed < 0:
+        # random.Random seeds with the absolute value, so -s would repeat s
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
     words = {0}
     steps = []

@@ -15,7 +15,6 @@ from codebetti import (
     mask_of,
     parse_code,
 )
-from codebetti.graphs import _mcs_order
 
 WORKED_LINES = ["0", "1", "2", "3", "4", "1 2", "1 4", "2 3", "2 4", "3 5", "1 2 4", "2 3 5"]
 
@@ -352,11 +351,23 @@ def backtracking_elimination_orderings(g):
 def verified_mcs_ordering(g):
     """Reference chordality: the MCS ordering if a vertex-by-vertex check accepts it, else None.
 
-    The check removes the vertices in order and gives up at the first one
-    whose remaining neighbours are not a clique.
+    Maximum-cardinality search visits next an unvisited vertex with the most
+    visited neighbours, the lowest on a tie; the reverse visit order is an
+    elimination ordering exactly when g is chordal (Tarjan and Yannakakis
+    1984). The check removes the vertices in order and gives up at the first
+    one whose remaining neighbours are not a clique.
     """
     adj = g.adjacency()
-    order = _mcs_order(adj)
+    weights = [0] * (g.n + 1)
+    visit = []
+    unvisited = set(range(1, g.n + 1))
+    while unvisited:
+        best = max(sorted(unvisited), key=weights.__getitem__)
+        visit.append(best)
+        unvisited.discard(best)
+        for v in indices_of(adj[best]):
+            weights[v] += 1
+    order = tuple(reversed(visit))
     remaining = (1 << g.n) - 1
     degs = []
     for v in order:

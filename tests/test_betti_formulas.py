@@ -147,6 +147,12 @@ def test_invert_graded_rejects_junk():
         invert_graded({(1, 3): 1}, 3)
 
 
+def test_invert_graded_refuses_a_negative_entry():
+    # the marginals it would give, (0, 2), are valid, so only the entry's sign can refuse it
+    with pytest.raises(ValueError, match=r"negative Betti entry at \(1, 2\): -1"):
+        invert_graded({(1, 2): -1}, 2)
+
+
 def test_invert_multigraded_worked(worked_profile):
     table = multigraded_betti_closed(worked_profile)
     assert invert_multigraded(table) == worked_profile

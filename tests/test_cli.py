@@ -6,12 +6,13 @@ import importlib.util
 import json
 import re
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codebetti import BettiTable, cli, oracle
+from codebetti import BettiTable, cli, oracle, piercing
 from codebetti.cli import main
 from codebetti.graphs import EliminationOrdering, all_elimination_orderings, chordality, parse_graph
 from codebetti.piercing import PiercingOrder
@@ -225,6 +226,9 @@ def test_invert_zeros(tmp_path, capsys):
         # beta_0 of a quotient is 1; only an omitted entry stands for it
         ('{"n": 2, "multigraded": [[0, 0, 0, 7], [1, 2, 0, 1]]}', "multigraded entry (0,0,0) is 7"),
         ('{"n": 2, "graded": [[0, 0, -4], [1, 2, 1]]}', "graded entry (0,0) is -4"),
+        # a negative count is refused by both routes, though this one's marginals (0, 2) look valid
+        ('{"n": 2, "graded": [[1, 2, -1]]}', "negative Betti entry at (1, 2): -1"),
+        ('{"n": 2, "multigraded": [[1, 2, 0, -1]]}', "negative Betti entry at (1, 2, 0): -1"),
     ],
 )
 def test_invert_rejects_malformed_tables(tmp_path, capsys, body, message):
@@ -305,20 +309,20 @@ def test_chordal_mismatch_names_the_file_and_both_profiles(tmp_path, capsys, mon
     p = tmp_path / "path.graph"
     p.write_text("1-2\n2-3\n3-4\n")
     graph = parse_graph(p.read_text())
-    mcs = chordality(graph)
-    drifted = next(o for o in all_elimination_orderings(graph) if o.order != mcs.order)
+    first = chordality(graph)
+    drifted = next(o for o in all_elimination_orderings(graph) if o.order != first.order)
     real = EliminationOrdering.profile
 
     def drifting(self):
         profile = real(self)
-        return profile if self.order == mcs.order else profile[:-1] + (profile[-1] + 1,)
+        return profile if self.order == first.order else profile[:-1] + (profile[-1] + 1,)
 
     monkeypatch.setattr(EliminationOrdering, "profile", drifting)
     rc, out, err = run(capsys, "chordal", str(p))
     assert rc == 3 and out == ""
     assert err == (
-        f"cross-check mismatch: elimination profiles differ on {p}: MCS ordering {mcs.order}"
-        f" has profile {real(mcs)}, ordering {drifted.order} has profile {drifting(drifted)}\n"
+        f"cross-check mismatch: elimination profiles differ on {p}: ordering {first.order}"
+        f" has profile {real(first)}, ordering {drifted.order} has profile {drifting(drifted)}\n"
     )
 
 
@@ -444,6 +448,14 @@ def test_generate_refuses_negative_kmax(capsys):
     rc, out, err = run(capsys, "generate", "--n", "3", "--kmax", "-1")
     assert rc == 2 and out == ""
     assert err == "error: kmax must be at least 0, got -1\n"
+
+
+def test_generate_refuses_a_negative_seed(capsys, monkeypatch):
+    # refused before any interval is listed
+    monkeypatch.setattr(piercing, "code_intervals", None)
+    rc, out, err = run(capsys, "generate", "--n", "6", "--seed", "-7")
+    assert rc == 2 and out == ""
+    assert err == "error: seed must be at least 0, got -7\n"
 
 
 @pytest.mark.parametrize(
@@ -756,17 +768,32 @@ def test_invariance_scan_reports_through_the_chordal_check(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     # the first graph with two orderings: two vertices, no edge
-    assert err.startswith("cross-check mismatch: elimination profiles differ on n=2 edges=[]: MCS ordering (")
+    assert err.startswith("cross-check mismatch: elimination profiles differ on n=2 edges=[]: ordering (")
     assert err.count("has profile") == 2
 
 
-def test_chordal_without_orderings_exits_3(tmp_path, capsys, monkeypatch):
-    p = tmp_path / "path.graph"
-    p.write_text("1-2\n2-3\n")
-    monkeypatch.setattr(cli, "all_elimination_orderings", lambda g: iter(()))
-    rc, out, err = run(capsys, "chordal", str(p))
-    assert rc == 3 and out == ""
-    assert err.startswith(f"cross-check mismatch: no elimination ordering of {p} found, though MCS ordering (")
+def test_invariance_scan_checks_each_witness_is_a_chordless_cycle(capsys, monkeypatch):
+    scan = _script("chordal_invariance_scan")
+    real = scan.chordless_cycle_witness
+
+    def chorded(g):
+        # a 4-cycle a-b-c-d with the chord a-c where g has one, else the real witness
+        for cycle in permutations(range(1, g.n + 1), 4):
+            a, b, c, d = cycle
+            if all(g.has_edge(*e) for e in ((a, b), (b, c), (c, d), (d, a), (a, c))):
+                return cycle
+        return real(g)
+
+    monkeypatch.setattr(scan, "chordless_cycle_witness", chorded)
+    monkeypatch.setattr(sys, "argv", ["chordal_invariance_scan.py", "--exhaustive-n", "5", "--sample-n", "5"])
+    assert scan.main() == 1
+    out, err = capsys.readouterr()
+    # every non-chordal graph with n <= 4 is a four-cycle and passes with its real witness
+    assert out == ""
+    assert err == (
+        "cross-check mismatch: n=5 edges=[(1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)]"
+        " is not chordal, but its witness (3, 1, 4, 2) is no chordless cycle\n"
+    )
 
 
 def test_pierced_mismatch_names_the_file(worked_file, capsys, monkeypatch):

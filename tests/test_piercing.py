@@ -157,6 +157,12 @@ def test_random_code_refuses_negative_kmax():
         random_pierced_code(3, kmax=-1, seed=5)
 
 
+def test_random_code_refuses_a_negative_seed():
+    # random.Random(-7) is seeded as random.Random(7)
+    with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+        random_pierced_code(6, seed=-7)
+
+
 @given(st.integers(0, 2_000), st.integers(2, 5))
 @settings(max_examples=60)
 def test_profile_marginals(seed, n):
