@@ -37,16 +37,32 @@ subsets; it never reduces a union on its own:
   whose complement graph is chordal (regularity 2, by Fröberg, *On
   Stanley-Reisner rings*, 1990), as for every inductively pierced code,
   strong collapse leaves only point cores.
+- Excision shrinks the other cores' complexes first. If a subcomplex A
+  of a complex K is acyclic, the long exact sequence of the pair gives
+  H~_i(K) = H_i(K, A) (Hatcher, *Algebraic Topology*, 2002, Sec. 2.1).
+  For A = K - w, the faces without a vertex w, the chains of the pair are
+  the faces through w, and a face's boundary keeps only its faces through
+  w: that is the link of w, one degree up. A core's vertices are walked
+  lowest first, and w joins a set T when the link of T in the complex of
+  core - w is acyclic; the core's homology is then that of its faces
+  through T. Both tests read one bit per subset. While T is empty, core -
+  w must strong-collapse onto a non-union, which has a cone point (a
+  vertex in no generator inside it): one bitset, the non-unions grown by
+  `_grow` (below). Once T is not empty, the complex of core - w must have
+  a cone point outside T, which makes the link of T a cone: one bitset
+  per vertex holds the subsets in which it is a cone point. These masks
+  are built only where some core holds a 2-face.
 - The homology of every other core is computed once, by bit-packed
   Gaussian elimination. Each cores task builds a face size's boundary
   rows, over the positions of the global faces one size smaller, the
   first time one of its cores takes a rank at that size, and keeps them
   for its other cores. A face inside a core has its whole boundary inside
-  it, so every core picks its faces by position and eliminates these
-  rows. Ranks go from the top face size down with clearing (Chen and
-  Kerber, *Persistent homology computation with a twist*, EuroCG 2011): a
-  face that leads a reduced row one size up has a row that reduces to
-  zero, so it is skipped.
+  it, so every core picks its faces through T by position and eliminates
+  these rows, each cut to the picked faces one size smaller; with T empty
+  the cut drops nothing. Ranks go from the top face size down with
+  clearing (Chen and Kerber, *Persistent homology computation with a
+  twist*, EuroCG 2011): a face that leads a reduced row one size up has a
+  row that reduces to zero, so it is skipped.
 - A complex's core is unique up to isomorphism (Barmak and Minian), so the
   cores that a union strong-collapses onto all have its homology. The cores
   are grouped by homology, and each group grows to the unions that
@@ -104,19 +120,24 @@ def _check_row_bits(counts) -> None:
 
 
 def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, int]:
-    """Reduced homology dimensions of a subcomplex, the rank calls made and the rows reduced.
+    """Homology dimensions of a chain complex of picked faces, the rank calls made and the rows reduced.
 
     Dimensions are keyed by chain degree (face size minus one). The
     complex's faces are faces_by_size; picked[s] is a bitmask over the
-    positions of the subcomplex's s-faces, whose boundaries lie in the
-    subcomplex. rows[s] holds each s-face's boundary as a bitmask over the
-    positions of the (s-1)-faces: it is built the first time a rank needs
-    size s, and kept in rows, which the caller owns, for the next subcomplex
-    of the same complex. Ranks are taken over F2 from the top size down,
-    with clearing: an s-face that is the leading face (msb) of a reduced
-    (s+1)-row leads a boundary, which is a cycle, so its own row is a sum of
-    the rows at lower positions. Dropping such rows, highest first, never
-    changes the span, so they are skipped and the rank stays.
+    positions of the chain complex's s-faces, and an s-face's boundary keeps
+    only its picked (s-1)-faces. On all the faces of a subcomplex that cut
+    drops nothing, and the result is the subcomplex's reduced homology; on
+    its faces through a set T it is the homology of the quotient by the
+    faces without T (see `_excised`). rows[s] holds each s-face's
+    boundary as a bitmask over the positions of the (s-1)-faces: it is built
+    the first time a rank needs size s, and kept in rows, which the caller
+    owns, for the next chain complex of the same complex. Ranks are taken
+    over F2 from the top size down, with clearing: an s-face that is the
+    leading face (msb) of a reduced (s+1)-row leads a boundary, which is a
+    cycle, as the boundary of a boundary is zero on the quotient too, so its
+    own row is a sum of the rows at lower positions. Dropping such rows,
+    highest first, never changes the span, so they are skipped and the rank
+    stays.
 
     The empty face sits in degree -1, so a restriction whose complex is just
     {empty} reports one dimension there; that is what makes the sweep put the
@@ -129,7 +150,8 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
     for s in range(top, 0, -1):
         pivots: dict[int, int] = {}
         leads = 0
-        if picked[s] and picked[s - 1]:
+        low = picked[s - 1]
+        if picked[s] and low:
             calls += 1
             level = rows.get(s)
             if level is None:
@@ -148,7 +170,7 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
             while todo:
                 b = todo & -todo
                 todo ^= b
-                row = level[b.bit_length() - 1]
+                row = level[b.bit_length() - 1] & low
                 while row:
                     msb = row.bit_length() - 1
                     piv = pivots.get(msb)
@@ -396,32 +418,91 @@ def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
     return table
 
 
-def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int]:
-    """Reduced homology of each core, with the rank calls made and rows reduced.
+def _excision_masks(gens, holding: list[int], closure: int, dominated: list[int]) -> tuple[bytes, list[bytes]]:
+    """The bitsets over the 2^u subsets that `_excised` reads, as little-endian bytes.
+
+    The first holds the acyclic subsets found by collapse: a non-union has
+    a cone point, a vertex in no generator inside it, and the subsets that
+    strong-collapse onto a non-union (`_grow`) have its homotopy type. Then,
+    per vertex x, the subsets with x as a cone point: those that hold x but
+    no generator through x. As bytes, one bit is read in constant time,
+    where an int would be shifted whole. holding is `_holding(u)`, closure
+    `_support_unions` and dominated `_dominated`.
+    """
+    every = (1 << (1 << len(holding))) - 1
+    points = list(holding)
+    for g in gens:
+        inside = every
+        for v in _bits(g):
+            inside &= holding[v.bit_length() - 1]
+        for v in _bits(g):
+            points[v.bit_length() - 1] &= ~inside
+    width = ((1 << len(holding)) + 7) // 8
+    acyclic = _grow(every ^ closure, dominated).to_bytes(width, "little")
+    return acyclic, [m.to_bytes(width, "little") for m in points]
+
+
+def _excised(core: int, acyclic: bytes, cone_points: list[bytes]) -> int:
+    """The vertices T through whose faces a core's homology is taken, as a mask; 0 for none.
+
+    The core's vertices w are tried lowest first, and w joins T when the
+    link of T in the complex of core - w is acyclic (the module docstring
+    gives the excision argument): with T empty, when acyclic holds core - w;
+    otherwise, when that complex has a cone point outside T. A complex with
+    a cone point is acyclic, so none is looked for outside acyclic. acyclic
+    and cone_points are `_excision_masks`.
+    """
+    through = 0
+    for w in _bits(core):
+        s = core ^ w
+        at, bit = s >> 3, 1 << (s & 7)
+        if not acyclic[at] & bit:
+            continue
+        if not through:
+            through = w
+            continue
+        rest = s & ~through
+        while rest:
+            x = rest & -rest
+            if cone_points[x.bit_length() - 1][at] & bit:
+                through |= w
+                break
+            rest ^= x
+    return through
+
+
+def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int, int]:
+    """Reduced homology of each core, with the rank calls made, the rows reduced and the cores excised.
 
     The sweep sends only the cores that hold a 2-face; a point core needs no
     rank. faces_by_size are the faces on the used vertices, up to the size
     of the largest of these cores. A face lies in the core iff it avoids
-    every used vertex outside it, so the core's faces are picked by and-ing
-    the avoiding masks of those vertices, size by size. The cores share one
-    set of boundary rows, each size built when a core first needs it.
+    every used vertex outside it, and holds T (`_excised`) iff it does not
+    avoid any vertex of T, so the faces of the core through T are picked by
+    and-ing the avoiding masks and their complements, size by size. A core
+    is excised when its T is not empty. The cores share one set of boundary
+    rows, each size built when a core first needs it.
     """
-    cores, faces_by_size, used = args
+    cores, faces_by_size, used, acyclic, cone_points = args
     avoiding = _avoiding(faces_by_size, used)
     rows: dict[int, list[int]] = {}
     everything = [(1 << len(level)) - 1 for level in faces_by_size]
     out = []
-    rank_calls = reduced = 0
+    rank_calls = reduced = excised = 0
     for core in cores:
+        through = _excised(core, acyclic, cone_points)
+        excised += through != 0
         picked = everything[: core.bit_count() + 1]
         for v, masks in avoiding.items():
             if not v & core:
                 picked = [p & m for p, m in zip(picked, masks)]
+            elif v & through:
+                picked = [p & ~m for p, m in zip(picked, masks)]
         dims, calls, part = _homology_dims(faces_by_size, rows, picked)
         out.append((core, dims))
         rank_calls += calls
         reduced += part
-    return out, rank_calls, reduced
+    return out, rank_calls, reduced, excised
 
 
 def _usable_cpus() -> int:
@@ -491,18 +572,22 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     vertex is dominated (`_dominated`); their homology is found once each,
     and the cores are grouped by it. The point cores, which hold no 2-face,
     are grouped by size with no rank; only the others go to
-    `_core_homology`. A union strong-collapses onto the cores of exactly
-    one group, that of its own homology, or onto a point, if it is a cone;
-    each group grows to its unions (`_grow`), which are counted per degree
-    and credited with the group's homology.
+    `_core_homology`, with the masks that excise their vertices
+    (`_excision_masks`, built only then). A union strong-collapses onto the
+    cores of exactly one group, that of its own homology, or onto a point,
+    if it is a cone; each group grows to its unions (`_grow`), which are
+    counted per degree and credited with the group's homology.
 
     The counts are the restrictions, the cones among them, the cores (all
     of them), the point cores among those, the faces of the global face
-    list, the boundary ranks computed and the rows those ranks reduced
-    after clearing, the last two summed over the workers. With threads > 1
-    a pool computes one strided share of the cores that hold a 2-face per
-    task, each task building the boundary rows its cores need from the
-    faces; nothing depends on threads. There is one task per thread, or per
+    list, the boundary ranks computed, the rows those ranks reduced and the
+    cores excised, the last three summed over the workers. The rows are
+    those of a core's faces through its excised vertices T (`_excised`),
+    all of its faces where T is empty, less the ones clearing skips; a
+    core excised is one whose T is not empty. With threads > 1 a pool
+    computes one strided share of the cores that hold a 2-face per task,
+    each task building the boundary rows its cores need from the faces;
+    nothing depends on threads. There is one task per thread, or per
     usable CPU where there are fewer, and the pool has one worker per task;
     where fewer cores than tasks hold a 2-face, each core is a share of its
     own and no empty share is sent. With one usable CPU the sweep runs
@@ -556,17 +641,19 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
             # vertex of a union dominates it, so its k vertices are k points
             key = ((-1, 1),) if k < 2 else ((0, k - 1),)
             groups[key] = groups.get(key, 0) | part
-    rank_calls = reduced = 0
+    rank_calls = reduced = excised = 0
     if edged:
         listed = sorted(_members(edged), key=lambda c: (c.bit_count(), c))
         held = [_members(level) for level in levels[: listed[-1].bit_count() + 1]]
+        acyclic, cone_points = _excision_masks(gens, holding, closure, dominated)
         # no empty share; the pool keeps its tasks workers, as a new count
         # would restart the kept pool
-        shares = [(listed[i::tasks], held, used) for i in range(min(tasks, len(listed)))]
+        shares = [(listed[i::tasks], held, used, acyclic, cone_points) for i in range(min(tasks, len(listed)))]
         run = map if tasks == 1 else _worker_pool(tasks).imap
-        for part, part_calls, part_rows in run(_core_homology, shares):
+        for part, part_calls, part_rows, part_excised in run(_core_homology, shares):
             rank_calls += part_calls
             reduced += part_rows
+            excised += part_excised
             for core, dims in part:
                 key = tuple(sorted(dims.items()))
                 groups[key] = groups.get(key, 0) | 1 << core
@@ -590,6 +677,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
         "faces": faces.bit_count(),
         "rank_calls": rank_calls,
         "rows": reduced,
+        "excised": excised,
     }
     return BettiTable.from_dict(ideal.n, counts), work
 

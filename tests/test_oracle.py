@@ -406,9 +406,13 @@ def test_reduced_engine_on_a_face_heavy_ideal():
     serial = oracle_sweep(ideal_h, threads=1)
     assert serial[1]["faces"] == 13_447
     assert serial[1]["restrictions"] == serial[1]["cores"] == 196
-    # clearing skips half the rows: a plain rank reduces 178,188
-    assert serial[1]["rank_calls"] == 1_288
-    assert serial[1]["rows"] == 89_279
+    # every core but the one point core is excised; their faces through T
+    # leave 2 ranks of 6 rows (on all of each core's faces, clearing left
+    # 89,279 rows in 1,288 ranks, of the 178,188 a plain rank reduces)
+    assert serial[1]["point_cores"] == 1
+    assert serial[1]["excised"] == 195
+    assert serial[1]["rank_calls"] == 2
+    assert serial[1]["rows"] == 6
     assert oracle_sweep(ideal_h, threads=2) == serial
     assert serial[0] == sweep_betti_table(ideal_h)
 
@@ -444,12 +448,18 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["rows"] == 0
 
 
-def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch, four_cycle_code):
-    # the four-cycle's one core that holds a 2-face is the square on x1..x4,
-    # so the cores task gets the faces of sizes 0 to 4; but the square holds
-    # no 3-face, so its ranks are of edges and of vertices, and the rows of
-    # sizes 3 and 4 are never built
-    ideal_c = polarized_ideal(canonical_form(four_cycle_code), four_cycle_code.n)
+# two four-cycles on x1..x4 and x5..x8, no edge between them: the squares
+# and (x1x3, x2x4, x5x7, x6x8) with each x_i*x_j, i <= 4 < j
+TWO_SQUARES = ideal(8, ((1, 3), ()), ((2, 4), ()), ((5, 7), ()), ((6, 8), ()),
+                    *(((i, j), ()) for i in range(1, 5) for j in range(5, 9)))
+
+
+def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch):
+    # the largest core that holds a 2-face is both squares, so the cores task
+    # gets the faces of sizes 0 to 8; deleting a vertex of it leaves a square
+    # and a path, which is not acyclic, so its homology takes ranks. No core
+    # holds a 3-face, so every rank is of edges or of vertices, and the rows
+    # of sizes 3 to 8 are never built
     sizes, built = set(), set()
     real = oracle_module._homology_dims
 
@@ -460,9 +470,12 @@ def test_sweep_builds_only_the_row_levels_a_rank_reads(monkeypatch, four_cycle_c
         return part
 
     monkeypatch.setattr(oracle_module, "_homology_dims", recording)
-    _, work = oracle_sweep(ideal_c)
-    assert work["rank_calls"] == 2
-    assert sizes == {4} and built == {1, 2}
+    table, work = oracle_sweep(TWO_SQUARES)
+    assert table == sweep_betti_table(TWO_SQUARES)
+    # 15 cores hold a 2-face; the two squares alone are excised
+    assert work["cores"] - work["point_cores"] == 15 and work["excised"] == 2
+    assert work["rank_calls"] == 26 and work["rows"] == 86
+    assert sizes == {8} and built == {1, 2}
 
 
 def _renumbered_gens(gens):
@@ -573,12 +586,15 @@ def test_cores_and_groups_equal_the_plain_loop(gens):
     # each group of cores with one homology grows to the kept unions whose
     # plain core has that homology, and the cones and groups split the unions
     faces_by_size = plain_faces(gens, used)
-    homologies, _, _ = oracle_module._core_homology((cores, faces_by_size, used))
+    masks = oracle_module._excision_masks(gens, holding, closure, dominated)
+    homologies = oracle_module._core_homology((cores, faces_by_size, used, *masks))[0]
     groups = {}
     for core, dims in homologies:
         key = tuple(sorted(dims.items()))
         groups[key] = groups.get(key, 0) | 1 << core
     cones = oracle_module._grow(((1 << (1 << u)) - 1) ^ closure, dominated)
+    # the acyclic subsets that excision reads are these cones
+    assert masks[0] == cones.to_bytes(len(masks[0]), "little")
     parts = [cones & closure] + [oracle_module._grow(members, dominated) for members in groups.values()]
     assert sum(p.bit_count() for p in parts) == closure.bit_count()
     union = 0
@@ -589,6 +605,85 @@ def test_cores_and_groups_equal_the_plain_loop(gens):
     for dims, grown in zip(groups, parts[1:]):
         for s in _subsets_of(grown):
             assert tuple(sorted(plain_homology_dims(plain_faces(gens, plain[s])).items())) == dims
+
+
+def _excision_inputs(ideal_r):
+    """The renumbered generators, their vertex count, the cores and the excision masks, as the sweep builds them."""
+    places, gens = _renumbered_gens([g.support_mask(ideal_r.n) for g in ideal_r.gens])
+    u = len(places)
+    holding = oracle_module._holding(u)
+    closure = oracle_module._support_unions(gens, holding)
+    dominated = oracle_module._dominated(oracle_module._domination_table(gens, (1 << u) - 1), holding)
+    anywhere = 0
+    for d in dominated:
+        anywhere |= d
+    masks = oracle_module._excision_masks(gens, holding, closure, dominated)
+    return gens, u, _subsets_of(closure & ~anywhere), masks
+
+
+def _bit(mask: bytes, s: int) -> bool:
+    return bool(mask[s >> 3] >> (s & 7) & 1)
+
+
+@given(st.one_of(st_ideals(), st_ideals(non_quadratic=True)))
+@settings(max_examples=60, deadline=None)
+def test_excision_masks_hold_acyclic_subsets_and_their_cone_points(ideal_r):
+    gens, u, _, (acyclic, cone_points) = _excision_inputs(ideal_r)
+    for s in range(1 << u):
+        if not _bit(acyclic, s):
+            # a complex with a cone point is acyclic, so its subset is in acyclic
+            assert not any(_bit(points, s) for points in cone_points)
+            continue
+        faces_by_size = plain_faces(gens, s)
+        assert plain_homology_dims(faces_by_size) == {}
+        # x is a cone point iff each face plus x is a face
+        faces = {f for level in faces_by_size for f in level}
+        for i, points in enumerate(cone_points):
+            x = 1 << i
+            assert _bit(points, s) == (s & x != 0 and all(f | x in faces for f in faces))
+
+
+@given(st.one_of(st_ideals(), st_ideals(non_quadratic=True), EDGES.map(_edge_ideal)))
+@settings(max_examples=100, deadline=None)
+def test_excised_cores_have_the_plain_homology(ideal_r):
+    # the faces through T give each core the homology of all its faces
+    gens, u, cores, masks = _excision_inputs(ideal_r)
+    used = (1 << u) - 1
+    homologies, _, _, excised = oracle_module._core_homology((cores, plain_faces(gens, used), used, *masks))
+    throughs = [oracle_module._excised(core, *masks) for core in cores]
+    assert all(through & ~core == 0 for core, through in zip(cores, throughs))
+    assert excised == sum(through != 0 for through in throughs)
+    for core, dims in homologies:
+        assert dims == plain_homology_dims(plain_faces(gens, core))
+
+
+# the five-cycle on x1..x5 as the complex: its ten pairs less its five edges
+FIVE_CYCLE = ideal(5, ((1, 3), ()), ((1, 4), ()), ((2, 4), ()), ((2, 5), ()), ((3, 5), ()))
+
+
+@pytest.mark.parametrize(
+    "ideal_r, core, through, dims, ranks",
+    [
+        # deleting any vertex leaves a square and a path, which is not
+        # acyclic: edges and vertices are ranked
+        (TWO_SQUARES, 0xFF, 0, {0: 1, 1: 2}, 2),
+        # deleting x1 leaves a path, which collapses to a point; every later
+        # deletion leaves a union with no cone point, so T = {x1}, and the
+        # edges x1x2 and x1x5 are ranked against the vertex x1
+        (FIVE_CYCLE, 0b11111, 0b1, {1: 1}, 1),
+        # the four-cycle x1x2x3x4: deleting x1 leaves x3 a cone point, and
+        # deleting x2 leaves x4 one, outside T = {x1}; the faces through
+        # x1 and x2 are just the edge x1x2, a cycle with no rank
+        (J1, 0b1111, 0b11, {1: 1}, 0),
+    ],
+)
+def test_excised_vertices_of_named_cores(ideal_r, core, through, dims, ranks):
+    gens, u, cores, masks = _excision_inputs(ideal_r)
+    assert core in cores and oracle_module._excised(core, *masks) == through
+    used = (1 << u) - 1
+    homologies, rank_calls, _, excised = oracle_module._core_homology(([core], plain_faces(gens, used), used, *masks))
+    assert homologies == [(core, dims)] and dims == plain_homology_dims(plain_faces(gens, core))
+    assert excised == (through != 0) and rank_calls == ranks
 
 
 def _cone_unions(ideal_r):
@@ -756,9 +851,9 @@ def test_sweep_splits_into_no_more_shares_than_usable_cpus(monkeypatch):
     assert oracle_sweep(ideal_c, threads=3) == serial
     assert [workers for workers, _ in shares] == [3, 3, 3]
     # the point cores are read off in the main process and are in no share
-    cores = [core for _, (part, _, _) in shares for core in part]
+    cores = [core for _, (part, *_) in shares for core in part]
     assert len(cores) == len(set(cores)) == serial[1]["cores"] - serial[1]["point_cores"] == 221
-    assert max(len(part) for _, (part, _, _) in shares) - min(len(part) for _, (part, _, _) in shares) <= 1
+    assert max(len(part) for _, (part, *_) in shares) - min(len(part) for _, (part, *_) in shares) <= 1
     # more workers than usable CPUs: the pool has one worker per share
     monkeypatch.undo()
     asked = []
@@ -778,7 +873,7 @@ def test_sweep_sends_no_empty_share(monkeypatch, four_cycle_code):
     monkeypatch.setattr(oracle_module, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(oracle_module, "_worker_pool", lambda workers: _RecordingPool(workers, shares))
     assert oracle_sweep(ideal_4, threads=4) == serial
-    assert [(workers, len(part)) for workers, (part, _, _) in shares] == [(4, 1)]
+    assert [(workers, len(part)) for workers, (part, *_) in shares] == [(4, 1)]
 
 
 @pytest.mark.parametrize("threads", [0, -1])
