@@ -478,26 +478,34 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int, in
     rank. faces_by_size are the faces on the used vertices, up to the size
     of the largest of these cores. A face lies in the core iff it avoids
     every used vertex outside it, and holds T (`_excised`) iff it does not
-    avoid any vertex of T, so the faces of the core through T are picked by
-    and-ing the avoiding masks and their complements, size by size. A core
-    is excised when its T is not empty. The cores share one set of boundary
-    rows, each size built when a core first needs it.
+    avoid any vertex of T. So the faces of every size are set in one row,
+    each size's after the smaller ones, and the core's faces through T are
+    picked by and-ing the avoiding masks over that row and the complements
+    of those of T, then cut into sizes. A core is excised when its T is not
+    empty. The cores share one set of boundary rows, each size built when a
+    core first needs it.
     """
     cores, faces_by_size, used, acyclic, cone_points = args
-    avoiding = _avoiding(faces_by_size, used)
-    rows: dict[int, list[int]] = {}
+    in_a_row = [f for level in faces_by_size for f in level]
+    avoiding = [(v, masks[0]) for v, masks in _avoiding([in_a_row], used).items()]
+    starts, start = [], 0
+    for level in faces_by_size:
+        starts.append(start)
+        start += len(level)
     everything = [(1 << len(level)) - 1 for level in faces_by_size]
+    rows: dict[int, list[int]] = {}
     out = []
     rank_calls = reduced = excised = 0
     for core in cores:
         through = _excised(core, acyclic, cone_points)
         excised += through != 0
-        picked = everything[: core.bit_count() + 1]
-        for v, masks in avoiding.items():
+        kept = -1
+        for v, mask in avoiding:
             if not v & core:
-                picked = [p & m for p, m in zip(picked, masks)]
+                kept &= mask
             elif v & through:
-                picked = [p & ~m for p, m in zip(picked, masks)]
+                kept &= ~mask
+        picked = [kept >> start & size for start, size in zip(starts, everything[: core.bit_count() + 1])]
         dims, calls, part = _homology_dims(faces_by_size, rows, picked)
         out.append((core, dims))
         rank_calls += calls
