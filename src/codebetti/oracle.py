@@ -478,16 +478,17 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int, in
     rank. faces_by_size are the faces on the used vertices, up to the size
     of the largest of these cores. A face lies in the core iff it avoids
     every used vertex outside it, and holds T (`_excised`) iff it does not
-    avoid any vertex of T. So the faces of every size are set in one row,
-    each size's after the smaller ones, and the core's faces through T are
-    picked by and-ing the avoiding masks over that row and the complements
-    of those of T, then cut into sizes. A core is excised when its T is not
-    empty. The cores share one set of boundary rows, each size built when a
-    core first needs it.
+    avoid any vertex of T. So the faces of all sizes are put in one list,
+    each size after the smaller ones, and the core's faces through T are
+    picked by and-ing, over that list, the avoiding masks of the vertices
+    outside the core and the complements of those of T; the result is then
+    cut into sizes. A core is excised when its T is not empty. The cores
+    share one set of boundary rows, each size built when a core first needs
+    it.
     """
     cores, faces_by_size, used, acyclic, cone_points = args
-    in_a_row = [f for level in faces_by_size for f in level]
-    avoiding = [(v, masks[0]) for v, masks in _avoiding([in_a_row], used).items()]
+    every_size = [f for level in faces_by_size for f in level]
+    avoiding = [(v, masks[0]) for v, masks in _avoiding([every_size], used).items()]
     starts, start = [], 0
     for level in faces_by_size:
         starts.append(start)
@@ -505,7 +506,7 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int, in
                 kept &= mask
             elif v & through:
                 kept &= ~mask
-        picked = [kept >> start & size for start, size in zip(starts, everything[: core.bit_count() + 1])]
+        picked = [kept >> start & ones for start, ones in zip(starts, everything[: core.bit_count() + 1])]
         dims, calls, part = _homology_dims(faces_by_size, rows, picked)
         out.append((core, dims))
         rank_calls += calls

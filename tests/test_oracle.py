@@ -448,8 +448,8 @@ def test_oracle_counters_on_the_c11_instance():
     assert work["rows"] == 0
 
 
-# two four-cycles on x1..x4 and x5..x8, no edge between them: the squares
-# and (x1x3, x2x4, x5x7, x6x8) with each x_i*x_j, i <= 4 < j
+# two four-cycles on x1..x4 and x5..x8 with no edge between them: the
+# generators are x1x3, x2x4, x5x7, x6x8 and each x_i*x_j with i <= 4 < j
 TWO_SQUARES = ideal(8, ((1, 3), ()), ((2, 4), ()), ((5, 7), ()), ((6, 8), ()),
                     *(((i, j), ()) for i in range(1, 5) for j in range(5, 9)))
 
@@ -631,7 +631,7 @@ def test_excision_masks_hold_acyclic_subsets_and_their_cone_points(ideal_r):
     gens, u, _, (acyclic, cone_points) = _excision_inputs(ideal_r)
     for s in range(1 << u):
         if not _bit(acyclic, s):
-            # a complex with a cone point is acyclic, so its subset is in acyclic
+            # a subset with a cone point is a non-union, which acyclic holds
             assert not any(_bit(points, s) for points in cone_points)
             continue
         faces_by_size = plain_faces(gens, s)
