@@ -19,8 +19,11 @@ subsets; it never reduces a union on its own:
   for every generator g through w inside sigma, (g - w) + v contains a
   generator. For an edge ideal that is Engström's rule: v and w are not
   adjacent and N(w) lies in N(v) (*Complexes of directed trees and
-  independence complexes*, Discrete Math. 2009). One bitset per vertex v,
-  D_v, holds the unions in which v is dominated.
+  independence complexes*, Discrete Math. 2009). The test reads g only
+  through g - w, so the set B of the v that pass it is found once per
+  distinct g - w. One bitset per vertex v, D_v, holds the unions in which
+  v is dominated: per w, one mask per g holds the subsets that hold w but
+  not g, and is ANDed into each v that its B lacks.
 - The faces are one more bitset, the subsets that hold no generator. They
   are counted per size and checked against `MAX_ROW_BITS` before any is
   listed (`_face_levels`); each size's faces are then listed in
@@ -74,8 +77,9 @@ subsets; it never reduces a union on its own:
 
 The plain sweep, which computes every restriction in full, is kept as the
 reference `sweep_betti_table` in tests/conftest.py, next to the set closure
-of the unions (`set_support_unions`) and the memo-free core of one union
-(`plain_core`).
+of the unions (`set_support_unions`), the memo-free core of one union
+(`plain_core`) and the domination table and D_v built pair by pair
+(`pairwise_domination_table`, `pairwise_dominated`).
 """
 
 from __future__ import annotations
@@ -291,14 +295,34 @@ def _sizes(u: int) -> list[int]:
     return masks
 
 
+_NONZERO = bytes([0] + [1] * 255)  # a bytes.translate table: each nonzero byte to 1
+_BYTE_BITS = [()]  # per byte, its set bits lowest first: those below 2^i, then each with i
+for _i in range(8):
+    _BYTE_BITS += [bits + (_i,) for bits in _BYTE_BITS]
+
+
 def _members(mask: int) -> list[int]:
-    """The set bits of a bitset, lowest first, each as its position; a memchr skips the clear ones."""
-    digits = format(mask, "b")[::-1]
+    """The set bits of a bitset, lowest first, each as its position; a memchr skips the clear ones.
+
+    With a set bit per 64 or more, it scans one string of binary digits;
+    a sparser bitset, its bytes, where one scan skips the zero bytes.
+    """
+    width = (mask.bit_length() + 7) // 8
     out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
+    if mask.bit_count() * 8 >= width:
+        digits = format(mask, "b")[::-1]
+        i = digits.find("1")
+        while i >= 0:
+            out.append(i)
+            i = digits.find("1", i + 1)
+        return out
+    data = mask.to_bytes(width, "little")
+    flags = data.translate(_NONZERO)
+    at = flags.find(1)
+    while at >= 0:
+        for i in _BYTE_BITS[data[at]]:
+            out.append(8 * at + i)
+        at = flags.find(1, at + 1)
     return out
 
 
@@ -315,7 +339,7 @@ def _face_levels(gens, holding: list[int], sizes: list[int]) -> tuple[int, list[
         inside = faces
         for v in _bits(g):
             inside &= holding[v.bit_length() - 1]
-        faces &= ~inside
+        faces ^= inside
     levels = [faces & m for m in sizes]
     _check_row_bits([level.bit_count() for level in levels])
     return faces, levels
@@ -346,9 +370,9 @@ def _dominated(table, holding: list[int]) -> list[int]:
     g through w whose B lacks v (see `_domination_table`); a subset that
     holds w holds g iff it holds every vertex of g - w. On the unions this
     is exact; off them it may miss a domination, never invent one. table
-    is `_domination_table` and holding `_holding`. Per w, each pair's mask
-    is built once and ANDed into the mask of each candidate v its B lacks:
-    one big mask per candidate, never one per generator.
+    is `_domination_table` and holding `_holding`. Per w, the subsets that
+    hold w but not g are one mask per g, and each candidate v ANDs those of
+    the g whose B lacks it; those that hold v are ANDed in after the OR.
     """
     dominated = [0] * len(holding)
     for w, pairs in table.items():
@@ -358,20 +382,21 @@ def _dominated(table, holding: list[int]) -> list[int]:
         candidates = 0
         for _, b in pairs:
             candidates |= b
-        masks = {v: held for v in _bits(candidates & ~w)}
+        candidates &= ~w
+        outside = []
         for g, b in pairs:
-            lacking = [v for v in masks if not b & v]
-            if lacking:
+            if candidates & ~b:
                 inside = held
                 for x in _bits(g ^ w):
                     inside &= holding[x.bit_length() - 1]
-                outside = held ^ inside
-                for v in lacking:
-                    masks[v] &= outside
-        for v, mask in masks.items():
-            i = v.bit_length() - 1
-            dominated[i] |= mask & holding[i]
-    return dominated
+                outside.append((b, held ^ inside))
+        for v in _bits(candidates):
+            mask = held
+            for b, out in outside:
+                if not b & v:
+                    mask &= out
+            dominated[v.bit_length() - 1] |= mask
+    return [d & h for d, h in zip(dominated, holding)]
 
 
 def _grow(seeds: int, dominated: list[int]) -> int:
@@ -394,18 +419,21 @@ def _grow(seeds: int, dominated: list[int]) -> int:
 
 
 def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
-    """Per vertex bit w, the pairs (g, B) for the generators g through w.
+    """Per vertex bit w of used, the pairs (g, B) for the generators g through w, in the order of gens.
 
     B holds the vertices v for which (g - w) + v contains a generator. v is
     dominated by w inside sigma iff v lies in B for every such g inside
-    sigma. For an edge g = {w, x}, B is the neighbourhood of x.
+    sigma. For an edge g = {w, x}, B is the neighbourhood of x. B depends
+    on g - w alone, so it is found once per distinct g - w: at most u for a
+    quadratic ideal, against two pairs per generator.
     """
-    table = {}
-    for w in _bits(used):
-        pairs = []
-        for g in gens:
-            if g & w:
-                rest = g ^ w
+    table = {w: [] for w in _bits(used)}
+    found: dict[int, int] = {}
+    for g in gens:
+        for w in _bits(g):
+            rest = g ^ w
+            dominated = found.get(rest)
+            if dominated is None:
                 # rest is a face, as the generators are minimal, so a
                 # generator h lies inside rest + v iff v is all h has beyond rest
                 dominated = 0
@@ -413,8 +441,8 @@ def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
                     extra = h & ~rest
                     if extra & (extra - 1) == 0:
                         dominated |= extra
-                pairs.append((g, dominated))
-        table[w] = pairs
+                found[rest] = dominated
+            table[w].append((g, dominated))
     return table
 
 
@@ -436,7 +464,8 @@ def _excision_masks(gens, holding: list[int], closure: int, dominated: list[int]
         for v in _bits(g):
             inside &= holding[v.bit_length() - 1]
         for v in _bits(g):
-            points[v.bit_length() - 1] &= ~inside
+            i = v.bit_length() - 1
+            points[i] ^= points[i] & inside
     width = ((1 << len(holding)) + 7) // 8
     acyclic = _grow(every ^ closure, dominated).to_bytes(width, "little")
     return acyclic, [m.to_bytes(width, "little") for m in points]
@@ -630,7 +659,7 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     anywhere = 0
     for d in dominated:
         anywhere |= d
-    cores = closure & ~anywhere
+    cores = closure ^ (closure & anywhere)
     sizes = _sizes(u)
     # no core holds a larger face; the empty union is always a core
     top = max(k for k, m in enumerate(sizes) if cores & m)

@@ -160,6 +160,63 @@ def set_support_unions(gens):
     return closure
 
 
+def _one_bits(mask):
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def pairwise_domination_table(gens, used):
+    """Reference domination table, rescanning every generator for each pair (w, g), for cross-checks only.
+
+    Per vertex bit w of used, the pairs (g, B) for the generators g through
+    w, where B holds the vertices v for which (g - w) + v contains a
+    generator.
+    """
+    table = {}
+    for w in _one_bits(used):
+        pairs = []
+        for g in gens:
+            if g & w:
+                rest = g ^ w
+                dominated = 0
+                for h in gens:
+                    extra = h & ~rest
+                    if extra & (extra - 1) == 0:
+                        dominated |= extra
+                pairs.append((g, dominated))
+        table[w] = pairs
+    return table
+
+
+def pairwise_dominated(table, holding):
+    """Reference D_v bitsets over the 2^u subsets, one AND per pair (w, g) and candidate v its B lacks, for cross-checks only.
+
+    Per w, every candidate v (a vertex of some B, other than w) starts from
+    the subsets that hold w; each pair's mask of the subsets that hold w but
+    not g is ANDed into the candidates its B lacks, and D_v gains the result
+    within the subsets that hold v. holding is the oracle's `_holding(u)`.
+    """
+    dominated = [0] * len(holding)
+    for w, pairs in table.items():
+        held = holding[w.bit_length() - 1]
+        candidates = 0
+        for _, b in pairs:
+            candidates |= b
+        masks = {v: held for v in _one_bits(candidates & ~w)}
+        for g, b in pairs:
+            lacking = [v for v in masks if not b & v]
+            if lacking:
+                inside = held
+                for x in _one_bits(g ^ w):
+                    inside &= holding[x.bit_length() - 1]
+                outside = held ^ inside
+                for v in lacking:
+                    masks[v] &= outside
+        for v, mask in masks.items():
+            i = v.bit_length() - 1
+            dominated[i] |= mask & holding[i]
+    return dominated
+
+
 def plain_core(sigma, table):
     """Reference core of sigma by deleting dominated vertices with no memo, or None for a cone.
 

@@ -36,6 +36,8 @@ from codebetti import (
 from codebetti import oracle as oracle_module
 from conftest import (
     code_of,
+    pairwise_dominated,
+    pairwise_domination_table,
     pairwise_minimalize,
     plain_core,
     plain_faces,
@@ -542,6 +544,31 @@ def _small_gens(most):
 
 
 SMALL_GENS = _small_gens(10)
+
+
+@given(st.integers(0, 16).flatmap(lambda k: st.sets(st.integers(0, (1 << k) - 1), max_size=300)))
+@example({0, 7, 8, 1 << 15})  # one set bit per 2 KiB: the zero bytes are skipped
+@example(set(range(0, 4096, 3)))  # a set bit per 3: one string of binary digits
+def test_members_lists_the_set_bits_lowest_first(positions):
+    assert oracle_module._members(sum(1 << p for p in positions)) == sorted(positions)
+
+
+def _support_masks(ideal_r):
+    return [g.support_mask(ideal_r.n) for g in ideal_r.gens]
+
+
+@given(st.one_of(st_ideals().map(_support_masks), st_ideals(non_quadratic=True).map(_support_masks), SMALL_GENS))
+@settings(max_examples=200, deadline=None)
+def test_domination_table_and_masks_equal_the_pairwise_references(gens):
+    places, gens = _renumbered_gens(gens)
+    u = len(places)
+    holding = oracle_module._holding(u)
+    table = oracle_module._domination_table(gens, (1 << u) - 1)
+    reference = pairwise_domination_table(gens, (1 << u) - 1)
+    assert table == reference and list(table) == list(reference)
+    # every bit of each D_v over all 2^u subsets, the non-unions too: the
+    # excision masks grow the acyclic subsets over the non-unions through D_v
+    assert oracle_module._dominated(table, holding) == pairwise_dominated(reference, holding)
 
 
 @given(_small_gens(8))
