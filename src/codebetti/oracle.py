@@ -302,10 +302,10 @@ for _i in range(8):
 
 
 def _members(mask: int) -> list[int]:
-    """The set bits of a bitset, lowest first, each as its position; a memchr skips the clear ones.
+    """The set bits of a bitset, lowest first, each as its position: a memchr skips the clear ones.
 
-    With a set bit per 64 or more, it scans one string of binary digits;
-    a sparser bitset, its bytes, where one scan skips the zero bytes.
+    It scans the binary digits where at least one bit in 64 is set, and
+    else the flags of the nonzero bytes, which skips the zero bytes whole.
     """
     width = (mask.bit_length() + 7) // 8
     out = []
@@ -423,9 +423,10 @@ def _domination_table(gens, used: int) -> dict[int, list[tuple[int, int]]]:
 
     B holds the vertices v for which (g - w) + v contains a generator. v is
     dominated by w inside sigma iff v lies in B for every such g inside
-    sigma. For an edge g = {w, x}, B is the neighbourhood of x. B depends
-    on g - w alone, so it is found once per distinct g - w: at most u for a
-    quadratic ideal, against two pairs per generator.
+    sigma. For an edge g = {w, x}, B is the neighbourhood of x. B reads g
+    only through g - w, so one scan of the generators per distinct g - w
+    serves every pair with it: for a quadratic ideal g - w is one vertex,
+    so there are at most u scans, against two pairs per generator.
     """
     table = {w: [] for w in _bits(used)}
     found: dict[int, int] = {}
