@@ -226,7 +226,7 @@ def plain_core(sigma, table):
     changed = True
     while changed:
         changed = False
-        for w in [1 << i for i in range(sigma.bit_length()) if sigma >> i & 1]:
+        for w in _one_bits(sigma):
             if not sigma & w:
                 continue
             dominated = sigma
