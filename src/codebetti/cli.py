@@ -185,12 +185,13 @@ def cmd_pierced(args, report: RunReport) -> str:
         report.output = {"pierced": False, "reason": fast.reason, "cf_degrees": list(fast.cf_degrees)}
         return f"not inductively pierced ({fast.reason})"
     profile = piercing_profile(order)
+    steps = [s.render() for s in order.steps]
     report.output = {
         "pierced": True,
         "order": list(order.order),
         "jk": list(profile.jk),
         "jkl": [[k, l, c] for (k, l), c in profile.jkl],
-        "steps": [s.render() for s in order.steps],
+        "steps": steps,
     }
     head = (
         "inductively pierced; order "
@@ -198,7 +199,7 @@ def cmd_pierced(args, report: RunReport) -> str:
         + "; "
         + profile.render_marginals()
     )
-    return "\n".join([head, profile.render(), order.render()])
+    return "\n".join([head, profile.render(), "\n".join(steps)])
 
 
 def betti_tables(code, methods=("formula", "recursion", "oracle"), order=None, threads=1) -> dict[str, BettiTable]:

@@ -196,21 +196,17 @@ def _homology_dims(faces_by_size, rows, picked) -> tuple[dict[int, int], int, in
 _FLIP = str.maketrans("01", "10")
 
 
-def _avoiding(faces_by_size, used: int) -> dict[int, list[int]]:
-    """Per vertex bit v of used, per face size, a bitmask over the positions of the faces without v.
+def _avoiding(faces: list[int], used: int) -> list[tuple[int, int]]:
+    """Per vertex bit v of used, lowest first, the pair (v, bitmask over the positions of the faces without v).
 
-    A size's faces are written as one string of binary digits, a fixed
-    width per face and the last face first, with each digit flipped; the
-    digits of v are then every width-th character, highest position first.
+    The faces are written as one string of binary digits, a fixed width per
+    face and the last face first, with each digit flipped; the digits of v
+    are then every width-th character, highest position first.
     """
     width = used.bit_length()
     digits = f"{{:0{width}b}}".format
-    out: dict[int, list[int]] = {v: [] for v in _bits(used)}
-    for fs in faces_by_size:
-        flipped = "".join(map(digits, reversed(fs))).translate(_FLIP)
-        for v, masks in out.items():
-            masks.append(int(flipped[width - v.bit_length() :: width] or "0", 2))
-    return out
+    flipped = "".join(map(digits, reversed(faces))).translate(_FLIP)
+    return [(v, int(flipped[width - v.bit_length() :: width] or "0", 2)) for v in _bits(used)]
 
 
 def _bits(mask: int) -> list[int]:
@@ -295,34 +291,18 @@ def _sizes(u: int) -> list[int]:
     return masks
 
 
-_NONZERO = bytes([0] + [1] * 255)  # a bytes.translate table: each nonzero byte to 1
-_BYTE_BITS = [()]  # per byte, its set bits lowest first: those below 2^i, then each with i
-for _i in range(8):
-    _BYTE_BITS += [bits + (_i,) for bits in _BYTE_BITS]
-
-
 def _members(mask: int) -> list[int]:
     """The set bits of a bitset, lowest first, each as its position: a memchr skips the clear ones.
 
-    It scans the binary digits where at least one bit in 64 is set, and
-    else the flags of the nonzero bytes, which skips the zero bytes whole.
+    The binary digits, lowest first, are one string, and each find jumps to
+    the next "1", however many zeros lie between.
     """
-    width = (mask.bit_length() + 7) // 8
+    digits = format(mask, "b")[::-1]
     out = []
-    if mask.bit_count() * 8 >= width:
-        digits = format(mask, "b")[::-1]
-        i = digits.find("1")
-        while i >= 0:
-            out.append(i)
-            i = digits.find("1", i + 1)
-        return out
-    data = mask.to_bytes(width, "little")
-    flags = data.translate(_NONZERO)
-    at = flags.find(1)
-    while at >= 0:
-        for i in _BYTE_BITS[data[at]]:
-            out.append(8 * at + i)
-        at = flags.find(1, at + 1)
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return out
 
 
@@ -517,8 +497,7 @@ def _core_homology(args) -> tuple[list[tuple[int, dict[int, int]]], int, int, in
     it.
     """
     cores, faces_by_size, used, acyclic, cone_points = args
-    every_size = [f for level in faces_by_size for f in level]
-    avoiding = [(v, masks[0]) for v, masks in _avoiding([every_size], used).items()]
+    avoiding = _avoiding([f for level in faces_by_size for f in level], used)
     starts, start = [], 0
     for level in faces_by_size:
         starts.append(start)

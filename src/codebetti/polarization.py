@@ -183,18 +183,17 @@ def piercing_variables(step: PiercingStep, existing) -> tuple[SquarefreeMonomial
     return tuple(out)
 
 
-def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> SquarefreeIdeal:
+def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep) -> SquarefreeIdeal:
     """Adjoin x_new * v for each piercing variable v.
 
     For a genuinely new piercing step the union needs no antichain
     reduction; if it would, the step is inconsistent and we raise.
     The refusal can fire here, unlike in `ideal_from_steps`, because
     `J_prev` comes from the caller and need not be the ideal of the
-    steps before this one. `existing` is the mask of neurons present
-    before the step (default: neurons below the new one).
+    steps before this one. The neurons present before the step are
+    those below the new one.
     """
-    if existing is None:
-        existing = (1 << (step.neuron - 1)) - 1
+    existing = (1 << (step.neuron - 1)) - 1
     for g in J_prev.gens:
         if (g.xsupp | g.ysupp) & ~existing:
             raise ValueError("previous ideal uses neurons outside the existing set")
@@ -206,26 +205,25 @@ def extend_ideal(J_prev: SquarefreeIdeal, step: PiercingStep, existing=None) -> 
         raise ValueError(f"inconsistent piercing step: {exc}") from exc
 
 
-def ideal_from_steps(steps, n: int | None = None) -> SquarefreeIdeal:
+def ideal_from_steps(steps) -> SquarefreeIdeal:
     """The ideal extend_ideal folds out of a construction sequence, validated once.
 
     Each step adjoins x_new * v for its piercing variables v over the
-    neurons present before it. The ideal has max(n, largest neuron)
-    variable pairs. Unlike `extend_ideal`, it does not rewrap a refusal
-    as an inconsistent step, since no step sequence can cause one:
-    x_p * v divides x_q * w only if v is x_q, placed before p, and w is
-    x_p, placed before q, and `piercing_variables` refuses a neuron
-    placed twice. `SquarefreeIdeal` still runs its own check.
+    neurons present before it. The ideal has as many variable pairs as the
+    largest neuron, the highest bit of the neurons placed. Unlike
+    `extend_ideal`, it does not rewrap a refusal as an inconsistent step,
+    since no step sequence can cause one: x_p * v divides x_q * w only if
+    v is x_q, placed before p, and w is x_p, placed before q, and
+    `piercing_variables` refuses a neuron placed twice. `SquarefreeIdeal`
+    still runs its own check.
     """
-    steps = tuple(steps)
-    top = max((s.neuron for s in steps), default=0)
     gens = []
     existing = 0
     for step in steps:
         bit = 1 << (step.neuron - 1)
         gens += [SquarefreeMonomial(v.xsupp | bit, v.ysupp) for v in piercing_variables(step, existing)]
         existing |= bit
-    return SquarefreeIdeal(top if n is None else max(n, top), tuple(gens))
+    return SquarefreeIdeal(existing.bit_length(), tuple(gens))
 
 
 _FACTOR_RE = re.compile(r"^([xy])([0-9]+)$")
@@ -235,25 +233,27 @@ def parse_ideal(text: str) -> SquarefreeIdeal:
     """Read a monomial-list file: one monomial per line, factors like "x3*y5".
 
     Accepts any squarefree ideal, not only polarized neural ones; redundant
-    generators are reduced away.  Comments and the optional "n=" header
-    (the variable-pair count, otherwise the maximum index seen) follow
-    LineReader, with indices capped at MAX_INDEX.
+    generators are reduced away.  A variable twice in one monomial is
+    refused, as reading it once would give the radical's Betti table.
+    Comments and the optional "n=" header (the variable-pair count,
+    otherwise the maximum index seen) follow LineReader, with indices
+    capped at MAX_INDEX.
     """
     reader = LineReader(text, MAX_INDEX, IdealParseError)
     gens: list[SquarefreeMonomial] = []
     for line in reader:
         if line == "0":
             continue
-        xm = ym = 0
+        supports = {"x": 0, "y": 0}
         for factor in line.split("*"):
             m = _FACTOR_RE.match(factor.strip())
             if m is None:
                 raise reader.fail(f"bad factor {factor.strip()!r}")
-            if m.group(1) == "x":
-                xm |= reader.bit(m.group(2))
-            else:
-                ym |= reader.bit(m.group(2))
-        gens.append(SquarefreeMonomial(xm, ym))
+            kind, bit = m.group(1), reader.bit(m.group(2))
+            if supports[kind] & bit:
+                raise reader.fail(f"{kind}{bit.bit_length()} appears twice: the monomial is not squarefree")
+            supports[kind] |= bit
+        gens.append(SquarefreeMonomial(supports["x"], supports["y"]))
     try:
         return SquarefreeIdeal(reader.n, tuple(minimalize(gens)))
     except ValueError as exc:

@@ -169,6 +169,15 @@ def test_betti_from_ideal_file(tmp_path, capsys):
     assert run(capsys, "betti", "--ideal", str(p), "--json") == (0, out, "")
 
 
+def test_betti_refuses_a_variable_twice_in_one_monomial(tmp_path, capsys, monkeypatch):
+    # read once, x1*x1*x2 would give the table of x1*x2, the radical's
+    monkeypatch.setattr(cli, "betti_table_oracle", _refuse("betti_table_oracle"))
+    p = tmp_path / "square.ideal"
+    p.write_text("x2*x3\nx1*x1*x2\n")
+    rc, out, err = run(capsys, "betti", "--ideal", str(p))
+    assert (rc, out, err) == (2, "", "error: line 2: x1 appears twice: the monomial is not squarefree\n")
+
+
 def test_betti_requires_input(capsys):
     rc, _, err = run(capsys, "betti", "--method", "oracle")
     assert rc == 2 and "code file" in err

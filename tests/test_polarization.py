@@ -233,6 +233,13 @@ def test_parse_ideal_roundtrip():
         parse_ideal("n=2\nx3\n")
 
 
+@pytest.mark.parametrize("body, refusal", [("x1*x1*x2\nx2*x3\n", "line 1: x1"), ("x2*x3\nx1*y3*x2*y3\n", "line 2: y3")])
+def test_parse_ideal_refuses_a_variable_twice_in_one_monomial(body, refusal):
+    # read once, the repeat would give the radical's ideal
+    with pytest.raises(IdealParseError, match=f"^{refusal} appears twice: the monomial is not squarefree$"):
+        parse_ideal(body)
+
+
 def test_parse_ideal_reduces_redundant_generators():
     ideal = parse_ideal("x1\nx1*x2\n")
     assert ideal.render() == "x1"
