@@ -76,7 +76,6 @@ class BettiTable:
         top_r = max((j - w for (w, j) in graded), default=0)
         totals = self.totals()
         width = max(len(str(c)) for c in (*graded.values(), *totals, top_w))
-        width = max(width, 1)
 
         def row(label, cells):
             return f"{label:>6}: " + " ".join(f"{c:>{width}}" for c in cells)

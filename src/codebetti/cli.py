@@ -119,16 +119,18 @@ def _load_code(args, report: RunReport):
 
 def cmd_cf(args, report: RunReport) -> str:
     code = _load_code(args, report)
-    cf = canonical_form(code)
-    report.output = {"n": code.n, "canonical_form": [f.render() for f in cf]}
-    return "\n".join(f.render() for f in cf) if cf else "0"
+    terms = [f.render() for f in canonical_form(code)]
+    report.output = {"n": code.n, "canonical_form": terms}
+    return "\n".join(terms or ["0"])
 
 
 def cmd_polarize(args, report: RunReport) -> str:
+    """The polarized ideal as an ideal file, which `betti --ideal` reads back."""
     code = _load_code(args, report)
     ideal = polarized_ideal(canonical_form(code), code.n)
-    report.output = {"n": ideal.n, "generators": [g.render() for g in ideal.gens]}
-    return ideal.render()
+    gens = [g.render() for g in ideal.gens]
+    report.output = {"n": ideal.n, "generators": gens}
+    return "\n".join([f"n={ideal.n}", *(gens or ["0"])])
 
 
 def cmd_graph(args, report: RunReport) -> str:
@@ -411,14 +413,14 @@ def cmd_generate(args, report: RunReport) -> str:
             raise ValueError("pass --n (or --steps FILE)")
         order, code = random_pierced_code(args.n, kmax=args.kmax, seed=args.seed or 0)
     body = serialize_code(code)
-    trailer = "".join(f"# {s.render()}\n" for s in order.steps)
+    steps = [s.render() for s in order.steps]
     report.output = {
         "n": code.n,
         "code": body.splitlines(),
         "order": list(order.order),
-        "steps": [s.render() for s in order.steps],
+        "steps": steps,
     }
-    return body + trailer
+    return body + "".join(f"# {s}\n" for s in steps)
 
 
 @functools.cache

@@ -36,12 +36,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
-        norm = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValueError("self-loops are not allowed")
-            norm.add((min(a, b), max(a, b)))
-        return cls(n, frozenset(norm))
+        """The graph of the pairs in either order; a self-loop is refused as a bad edge."""
+        return cls(n, frozenset((min(a, b), max(a, b)) for a, b in pairs))
 
     def adjacency(self) -> list[int]:
         """Neighbor mask per vertex (index 0 unused); bit i-1 stands for vertex i."""
@@ -205,20 +201,17 @@ def all_elimination_orderings(g: Graph):
 def relationship_graph(ideal: SquarefreeIdeal) -> Graph:
     """Edge {i,j} unless a generator x_i*x_j, x_i*y_j or x_j*y_i forbids it.
 
-    Defined for quadratically generated ideals only.
+    Defined for quadratically generated ideals only.  A quadratic generator
+    forbids a pair exactly when it holds an x, and its two variables lie on
+    two distinct neurons, as SquarefreeIdeal refuses x_i*y_i; a y_i*y_j
+    generator forbids none.
     """
     forbidden = set()
     for g in ideal.gens:
         if g.degree != 2:
             raise ValueError(f"generator {g.render()} is not quadratic")
-        xs = indices_of(g.xsupp)
-        ys = indices_of(g.ysupp)
-        if len(xs) == 2:
-            forbidden.add(xs)
-        elif len(xs) == 1 and len(ys) == 1:
-            i, j = xs[0], ys[0]
-            forbidden.add((min(i, j), max(i, j)))
-        # a pure y_i*y_j generator never forbids an edge
+        if g.xsupp:
+            forbidden.add(indices_of(g.xsupp | g.ysupp))
     edges = frozenset(p for p in combinations(range(1, ideal.n + 1), 2) if p not in forbidden)
     return Graph(ideal.n, edges)
 

@@ -597,12 +597,14 @@ def oracle_sweep(ideal: SquarefreeIdeal, threads: int = 1) -> tuple[BettiTable, 
     counted per degree and credited with the group's homology.
 
     The counts are the restrictions, the cones among them, the cores (all
-    of them), the point cores among those, the faces of the global face
-    list, the boundary ranks computed, the rows those ranks reduced and the
-    cores excised, the last three summed over the workers. The rows are
-    those of a core's faces through its excised vertices T (`_excised`),
-    all of its faces where T is empty, less the ones clearing skips; a
-    core excised is one whose T is not empty. With threads > 1 a pool
+    of them), the point cores among those, the faces of the complex on the
+    used variables (every face, of every size, counted on its bitset
+    whether or not any face is listed), the boundary ranks computed, the
+    rows those ranks reduced and the cores excised, the last three summed
+    over the workers. The rows are those of a core's faces through its
+    excised vertices T (`_excised`), all of its faces where T is empty,
+    less the ones clearing skips; a core excised is one whose T is not
+    empty. With threads > 1 a pool
     computes one strided share of the cores that hold a 2-face per task,
     each task building the boundary rows its cores need from the faces;
     nothing depends on threads. There is one task per thread, or per

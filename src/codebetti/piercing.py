@@ -25,10 +25,13 @@ def require_clean(code: NeuralCode) -> None:
 
 
 def _detect_on_words(words: frozenset[int], i: int) -> PiercingStep | None:
+    """detect_piercing on a word set in which neuron i fires.
+
+    No caller passes a silent neuron: `detect_piercing` refuses one, and
+    `_peel` sees clean codes only, where deleting a neuron silences no other.
+    """
     bit = 1 << (i - 1)
     with_i = [w & ~bit for w in words if w & bit]
-    if not with_i:
-        return None
     sigma = tau = with_i[0]
     for w in with_i[1:]:
         sigma &= w
@@ -122,10 +125,9 @@ def piercing_profile(order: PiercingOrder) -> PiercingProfile:
 
 
 def build_code(steps) -> NeuralCode:
-    """Fold the piercing construction starting from the empty code."""
+    """Fold the piercing construction starting from the empty code; n is the largest neuron placed."""
     words = {0}
     existing = 0
-    top = 0
     for step in steps:
         bit = 1 << (step.neuron - 1)
         if existing & bit:
@@ -136,8 +138,7 @@ def build_code(steps) -> NeuralCode:
                 raise ValueError(f"{step.render()}: interval not contained in the current code")
         words.update(gamma | bit for gamma in interval)
         existing |= bit
-        top = max(top, step.neuron)
-    return NeuralCode(top, frozenset(words))
+    return NeuralCode(existing.bit_length(), frozenset(words))
 
 
 def _peel(words: frozenset[int], left, order=None, tail=()):

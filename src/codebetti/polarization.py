@@ -232,12 +232,15 @@ _FACTOR_RE = re.compile(r"^([xy])([0-9]+)$")
 def parse_ideal(text: str) -> SquarefreeIdeal:
     """Read a monomial-list file: one monomial per line, factors like "x3*y5".
 
-    Accepts any squarefree ideal, not only polarized neural ones; redundant
-    generators are reduced away.  A variable twice in one monomial is
-    refused, as reading it once would give the radical's Betti table.
-    Comments and the optional "n=" header (the variable-pair count,
-    otherwise the maximum index seen) follow LineReader, with indices
-    capped at MAX_INDEX.
+    Accepts any squarefree ideal whose generators hold no x_i*y_i, not only
+    polarized neural ones; redundant generators are reduced away.  Refused,
+    naming the line: a variable twice in one monomial, as reading it once
+    would give the radical's Betti table, and x_i with y_i, which
+    SquarefreeIdeal does not represent.  Comments and the optional "n="
+    header (the variable-pair count, otherwise the maximum index seen)
+    follow LineReader, with indices capped at MAX_INDEX.  So every index is
+    at most n and every line has a factor, and minimalize drops repeats and
+    multiples: SquarefreeIdeal refuses nothing the reader passes on.
     """
     reader = LineReader(text, MAX_INDEX, IdealParseError)
     gens: list[SquarefreeMonomial] = []
@@ -250,11 +253,10 @@ def parse_ideal(text: str) -> SquarefreeIdeal:
             if m is None:
                 raise reader.fail(f"bad factor {factor.strip()!r}")
             kind, bit = m.group(1), reader.bit(m.group(2))
-            if supports[kind] & bit:
-                raise reader.fail(f"{kind}{bit.bit_length()} appears twice: the monomial is not squarefree")
+            if (supports["x"] | supports["y"]) & bit:
+                i = bit.bit_length()
+                raise reader.fail(f"{kind}{i} appears twice: the monomial is not squarefree" if supports[kind] & bit
+                                  else f"x{i} and y{i} appear together: a generator may not hold both")
             supports[kind] |= bit
         gens.append(SquarefreeMonomial(supports["x"], supports["y"]))
-    try:
-        return SquarefreeIdeal(reader.n, tuple(minimalize(gens)))
-    except ValueError as exc:
-        raise IdealParseError(str(exc)) from exc
+    return SquarefreeIdeal(reader.n, tuple(minimalize(gens)))

@@ -245,6 +245,19 @@ def test_table_views(worked_profile):
     assert "total" in triangle and "5" in triangle
 
 
+def test_triangle_columns_fit_the_widest_count():
+    # column 1 totals 12 = 7 + 5, wider than any entry; the empty table gets width 1
+    table = BettiTable(3, ((0, 0, 0, 1), (1, 2, 0, 7), (1, 2, 1, 5), (2, 3, 1, 3)))
+    assert table.render_triangle().splitlines() == [
+        "         0  1  2",
+        " total:  1 12  3",
+        "     0:  1  .  .",
+        "     1:  .  7  .",
+        "     2:  .  5  3",
+    ]
+    assert BettiTable(2, ()).render_triangle() == "        0\n total: 0\n     0: .\n"
+
+
 def closed_or_error(closed, profile):
     try:
         return closed(profile)
@@ -277,3 +290,9 @@ def arbitrary_profiles(draw, max_n=9):
 @settings(max_examples=200, deadline=None)
 def test_closed_form_equals_grid_or_both_refuse(prof):
     assert closed_or_error(multigraded_betti_closed, prof) == closed_or_error(grid_betti_closed, prof)
+
+
+def test_graded_closed_refuses_a_profile_with_a_negative_entry():
+    # two rank-1 piercings on two neurons: beta[1,2] = j0 - 1 = -1
+    with pytest.raises(ValueError, match=r"^negative entry beta\[1,2\] = -1: invalid profile$"):
+        graded_betti_closed(profile_of(2, {(1, 0): 2}))

@@ -162,3 +162,9 @@ def test_cf_of_pierced_code_at_cap_is_every_vanishing_quadratic():
                     quadratics.add(f)
     assert set(cf) == quadratics
     assert len(cf) == len(quadratics)
+
+
+@pytest.mark.parametrize("sigma, tau", [(-1, 0), (0, -2)])
+def test_negative_masks_refused(sigma, tau):
+    with pytest.raises(ValueError, match="^negative support mask$"):
+        PseudoMonomial(sigma, tau)

@@ -76,7 +76,28 @@ def test_cf_parse_error_exit_2(tmp_path, capsys):
 def test_polarize(worked_file, capsys):
     rc, out, _ = run(capsys, "polarize", worked_file)
     assert rc == 0
-    assert out.strip() == "x1*x3, x3*x4, x5*y3, x1*x5, x4*x5"
+    assert out.splitlines() == ["n=5", "x1*x3", "x3*x4", "x5*y3", "x1*x5", "x4*x5"]
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.code")), ids=lambda p: p.name)
+def test_polarize_prints_an_ideal_file_that_betti_reads_back(tmp_path, capsys, path):
+    rc, ideal, _ = run(capsys, "polarize", str(path))
+    assert rc == 0
+    p = tmp_path / "polarized.ideal"
+    p.write_text(ideal)
+    expected = run(capsys, "betti", str(path), "--method", "oracle")
+    assert expected[0] == 0
+    assert run(capsys, "betti", "--ideal", str(p)) == expected
+
+
+def test_polarize_prints_the_zero_ideal_as_0(tmp_path, capsys):
+    p = tmp_path / "full.code"
+    p.write_text("0\n1\n2\n1 2\n")
+    rc, ideal, _ = run(capsys, "polarize", str(p))
+    assert (rc, ideal) == (0, "n=2\n0\n")
+    q = tmp_path / "zero.ideal"
+    q.write_text(ideal)
+    assert run(capsys, "betti", "--ideal", str(q)) == run(capsys, "betti", str(p), "--method", "oracle")
 
 
 def test_graph_edges_and_dot(worked_file, capsys):
@@ -178,6 +199,15 @@ def test_betti_refuses_a_variable_twice_in_one_monomial(tmp_path, capsys, monkey
     assert (rc, out, err) == (2, "", "error: line 2: x1 appears twice: the monomial is not squarefree\n")
 
 
+def test_betti_refuses_x_and_y_of_one_neuron_in_one_monomial(tmp_path, capsys, monkeypatch):
+    # SquarefreeIdeal does not represent x1*y1; the refusal names its line
+    monkeypatch.setattr(cli, "betti_table_oracle", _refuse("betti_table_oracle"))
+    p = tmp_path / "xy.ideal"
+    p.write_text("x2*x3\nx1*y1\n")
+    rc, out, err = run(capsys, "betti", "--ideal", str(p))
+    assert (rc, out, err) == (2, "", "error: line 2: x1 and y1 appear together: a generator may not hold both\n")
+
+
 def test_betti_requires_input(capsys):
     rc, _, err = run(capsys, "betti", "--method", "oracle")
     assert rc == 2 and "code file" in err
@@ -226,6 +256,7 @@ def test_invert_zeros(tmp_path, capsys):
         ('{"n": 3, "graded": [[1, 2]]}', "lists of 3 integers"),
         ('{"n": 3, "graded": 5}', "lists of 3 integers"),
         ('{"n": "3", "graded": []}', "nonnegative integer"),
+        ('{"graded": []}', 'neuron count missing: pass --n or include "n" in the file'),
         # the worked example's tables plus one entry off the linear strand
         (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 3, 1, 1]]}), "off the linear strand"),
         (json.dumps({"n": 5, "multigraded": WORKED_MULTIGRADED + [[1, 0, 2, 1]]}), "off the linear strand"),

@@ -145,3 +145,17 @@ def test_validate_silent():
 def test_validate_duplicates():
     diag = validate_code(code_of((1, 2), n=2))
     assert diag.duplicate_pairs == ((1, 2),)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: NeuralCode(2, frozenset({0, 0b100})), "codeword '3' out of range for n=2"),
+        (lambda: delete_neuron(code_of((1,), (2,)), 0), "neuron 0 out of range 1..2"),
+        (lambda: delete_neuron(code_of((1,), (2,)), 3), "neuron 3 out of range 1..2"),
+    ],
+)
+def test_public_refusals(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message

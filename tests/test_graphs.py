@@ -241,3 +241,18 @@ def test_graph_io_roundtrip():
     assert parse_graph(render_graph(g)) == g
     dot = render_dot(Graph.from_edges(3, [(1, 2)]))
     assert "1 -- 2;" in dot and "3;" in dot
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Graph(3, frozenset({(2, 1)})), "bad edge (2,1) for n=3"),
+        (lambda: Graph(3, frozenset({(1, 4)})), "bad edge (1,4) for n=3"),
+        # from_edges orders each pair, and leaves a self-loop to the same check
+        (lambda: Graph.from_edges(3, [(1, 2), (2, 2)]), "bad edge (2,2) for n=3"),
+    ],
+)
+def test_graph_refuses_a_bad_edge(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from codebetti import (
+    BettiTable,
     Graph,
     GuardExceeded,
     HypothesisViolation,
@@ -1004,3 +1005,8 @@ def test_characterization_rejects_dirty_codes():
         regularity_characterization(code_of((1,), n=2))
     with pytest.raises(HypothesisViolation):
         regularity_characterization(code_of((1,), (2,), (1, 2)))  # zero ideal
+
+
+def test_regularity_refuses_an_empty_table():
+    with pytest.raises(ValueError, match="^empty table$"):
+        regularity(BettiTable(2, ()))

@@ -7,6 +7,7 @@ from codebetti import piercing
 from codebetti import (
     DiagnosticsError,
     NeuralCode,
+    PiercingProfile,
     PiercingStep,
     build_code,
     delete_neuron,
@@ -119,6 +120,8 @@ def test_build_code_examples():
     assert build_code([PiercingStep(1, 0, 0)]) == code_of((1,))
     two = build_code([PiercingStep(1, 0, 0), PiercingStep(2, 0, mask_of((1,)))])
     assert two == code_of((1,), (2,), (1, 2))
+    # n is the largest neuron placed, not the number of steps
+    assert build_code([PiercingStep(2, 0, 0)]) == NeuralCode(2, frozenset({0, 0b10}))
 
 
 def test_build_code_rejects_bad_steps():
@@ -304,3 +307,22 @@ def test_iter_piercing_orders_lists_the_backtracking_search_orders(four_cycle_co
             calls.clear()
             assert not run()
             assert 0 < len(calls) <= code.n * (code.n + 1) // 2
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: detect_piercing(code_of((1,), (2,)), 0), "neuron 0 out of range 1..2"),
+        (lambda: detect_piercing(code_of((1,), (2,)), 3), "neuron 3 out of range 1..2"),
+        (lambda: PiercingProfile.from_counts(2, {(0, 0): 1.0, (0, 1): 1}), "piercing count j[0,0] = 1.0 is not an integer"),
+        (lambda: PiercingProfile.from_counts(2, {(0, 0): 3, (1, 0): -1}), "negative piercing count j[1,0] = -1"),
+        (lambda: PiercingProfile.from_counts(2, {(0, 0): 1, (1, 1): 1}), "impossible piercing type j[1,1] = 1 for n = 2"),
+        (lambda: PiercingProfile.from_counts(2, {(0, 0): 1}), "piercing counts sum to 1, expected n = 2"),
+        (lambda: steps_for_order(code_of((1,), (2,)), (1, 1)), "order must be a permutation of 1..n"),
+        (lambda: next(iter_piercing_orders(NeuralCode(10, frozenset({0})))), "n=10 exceeds the enumeration guard of 9"),
+    ],
+)
+def test_public_refusals(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message

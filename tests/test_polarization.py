@@ -265,3 +265,34 @@ def test_step_validation():
         PiercingStep(2, mask_of((1, 2)), mask_of((1, 2)))  # tau contains the new neuron
     with pytest.raises(ValueError):
         PiercingStep(3, mask_of((1,)), mask_of((2,)))  # sigma not inside tau
+
+
+@pytest.mark.parametrize("body, line", [("x2*x3\nx1*y1\n", "line 2: x1 and y1"), ("y2*x3*x2\n", "line 1: x2 and y2")])
+def test_parse_ideal_refuses_x_and_y_of_one_neuron(body, line):
+    # SquarefreeIdeal does not represent a multiple of x_i*y_i; the reader names the line
+    with pytest.raises(IdealParseError, match=f"^{line} appear together: a generator may not hold both$"):
+        parse_ideal(body)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SquarefreeMonomial(-1, 0), "negative support mask"),
+        (lambda: SquarefreeMonomial(0, -2), "negative support mask"),
+        (lambda: PiercingStep(0, 0, 0), "neuron index must be positive"),
+        (
+            lambda: piercing_variables(PiercingStep(3, 0, mask_of((2,))), mask_of((1,))),
+            "step 3: sigma={} tau={2} k=1 l=0: pierces neurons that are not present yet",
+        ),
+        (lambda: piercing_variables(PiercingStep(2, 0, 1), mask_of((1, 2))), "neuron 2 is already present"),
+        # step 2 adjoins x1*x2, a multiple of the previous ideal's x1
+        (
+            lambda: extend_ideal(SquarefreeIdeal(1, (SquarefreeMonomial(1, 0),)), PiercingStep(2, 0, 0)),
+            "inconsistent piercing step: x1 divides x1*x2: generators are not minimal",
+        ),
+    ],
+)
+def test_public_refusals(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
